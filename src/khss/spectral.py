@@ -1,19 +1,27 @@
 """Pages of the filtered complex, homology, and comparison verdicts.
 
 Page indexing: page 1 carries the chain-group dimensions and page 2 the
-homology with respect to the jump-1 differential alone.  Pages are
-computed per quantum degree q (every differential preserves q) by the
-subspace formula
+homology with respect to the jump-1 differential alone; the page-r
+differential raises the homological degree h by r.  Every differential
+preserves the quantum degree q, so each q-block is handled on its own.
 
-    Z^r_p = {x in F_p : dx in F_{p+r}},
-    E^r_p = Z^r_p / (d Z^{r-1}_{p-r+1} + Z^{r-1}_{p+1}),
-
-with F_p spanned by the generators of homological degree >= p and
-Z^0_q = F_q.  The page-r differential is induced by d and raises p by r.
+All pages of a q-block come from one left-to-right column reduction of
+its total differential, the pairing of persistent homology
+(Edelsbrunner, Letscher and Zomorodian, "Topological persistence and
+simplification", 2002; Zomorodian and Carlsson, "Computing persistent
+homology", 2005).  With the generators ordered by h, highest first, the
+pivot of a column is its lowest-h entry.  A reduced column of x (at
+h = a) with pivot y (at h = a + g) pairs the two: both survive on pages
+1..g, and d_g maps one onto the other, adding 1 to the d_g rank at
+(a, q).  Unpaired generators survive to the abutment, so they count the
+homology of the total differential, and the sequence collapses at page
+max(2, largest gap + 1).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .filtered import FilteredComplex
@@ -55,119 +63,57 @@ class SpectralResult:
         return self.pages[-1]
 
 
-class _QBlock:
-    """The part of the complex in one quantum degree."""
+@dataclass(frozen=True)
+class Barcode:
+    """The persistence pairs and unpaired generators of one q-block."""
 
-    def __init__(self, c: FilteredComplex, q: int):
-        idx = [i for i, g in enumerate(c.generators) if g.q == q]
-        self.global_to_local = {gi: li for li, gi in enumerate(idx)}
-        self.p_of = [c.generators[gi].h for gi in idx]
-        self.n = len(idx)
-        full = c.full_columns()
-        self.cols = []
-        for gi in idx:
-            mask = full[gi]
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= 1 << self.global_to_local[low.bit_length() - 1]
-                mask ^= low
-            self.cols.append(acc)
-        self.p_values = sorted(set(self.p_of))
-        self._filter_masks: dict[int, int] = {}
-        self._z_cache: dict[tuple[int, int], list[int]] = {}
+    pairs: Counter     # (h of the source, gap) -> count
+    unpaired: Counter  # h -> count
 
-    def filter_mask(self, p: int) -> int:
-        """Coordinate mask of F_p (generators with degree >= p)."""
-        m = self._filter_masks.get(p)
-        if m is None:
-            m = sum(1 << i for i, pi in enumerate(self.p_of) if pi >= p)
-            self._filter_masks[p] = m
-        return m
+    @property
+    def max_gap(self) -> int:
+        return max((g for _, g in self.pairs), default=0)
 
-    def apply_d(self, v: int) -> int:
-        acc = 0
-        while v:
-            low = v & -v
-            acc ^= self.cols[low.bit_length() - 1]
-            v ^= low
-        return acc
+    def page(self, r: int) -> tuple[Counter, Counter]:
+        """Page-r dimensions per h, and the d_r rank out of each h."""
+        dims = Counter(self.unpaired)
+        ranks = Counter()
+        for (a, g), n in self.pairs.items():
+            if g >= r:
+                dims[a] += n
+                dims[a + g] += n
+                if g == r:
+                    ranks[a] += n
+        return dims, ranks
 
-    def cycles_z(self, r: int, p: int) -> list[int]:
-        """Basis of Z^r_p = {x in F_p : dx in F_{p+r}} (r >= 0)."""
-        key = (r, p)
-        cached = self._z_cache.get(key)
-        if cached is not None:
-            return cached
-        coords = [i for i in range(self.n) if self.p_of[i] >= p]
-        if r == 0:
-            basis = [1 << i for i in coords]
+
+def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
+    """Pair the generators of one q-block by column reduction.
+
+    Generator i has homological degree ``h[i]`` and ``cols[i]`` is the
+    bit mask of its differential (bit j for generator j).  The
+    generators must be ordered by h, highest first, and the differential
+    must raise h.
+    """
+    if any(a < b for a, b in zip(h, h[1:])):
+        raise ValueError("generators must be ordered by h, highest first")
+    reduced: dict[int, int] = {}  # pivot -> reduced column
+    pairs: Counter = Counter()
+    cycles = []
+    for i, col in enumerate(cols):
+        while col:
+            low = col.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                if h[low] <= h[i]:
+                    raise ValueError("differential does not raise h")
+                reduced[low] = col
+                pairs[(h[i], h[low] - h[i])] += 1
+                break
+            col ^= other
         else:
-            forbidden = ~self.filter_mask(p + r)
-            # kernel of x -> dx mod F_{p+r}, over the F_p coordinates
-            basis = []
-            pivots: dict[int, tuple[int, int]] = {}  # pivot -> (image, x)
-            for i in coords:
-                img = self.cols[i] & forbidden
-                x = 1 << i
-                done = 0
-                while img:
-                    pos = img.bit_length() - 1
-                    entry = pivots.get(pos)
-                    if entry is not None:
-                        img ^= entry[0]
-                        x ^= entry[1]
-                    else:
-                        bit = 1 << pos
-                        done |= bit
-                        img ^= bit
-                if done == 0:
-                    basis.append(x)
-                else:
-                    pivots[done.bit_length() - 1] = (done, x)
-        self._z_cache[key] = basis
-        return basis
-
-    def boundary_span(self, r: int, p: int) -> BitSpan:
-        """Span of d Z^{r-1}_{p-r+1} + Z^{r-1}_{p+1}."""
-        span = BitSpan()
-        for x in self.cycles_z(r - 1, p - r + 1):
-            span.add(self.apply_d(x))
-        for x in self.cycles_z(r - 1, p + 1):
-            span.add(x)
-        return span
-
-    def page_dims(self, r: int) -> dict[int, int]:
-        out = {}
-        for p in self.p_values:
-            z = self.cycles_z(r, p)
-            span = self.boundary_span(r, p)
-            dim = 0
-            probe = span.copy()
-            for x in z:
-                if probe.add(x):
-                    dim += 1
-            if dim:
-                out[p] = dim
-        return out
-
-    def dr_ranks(self, r: int) -> dict[int, int]:
-        """Rank of the page-r differential out of each p."""
-        out = {}
-        for p in self.p_values:
-            target = self.boundary_span(r, p + r)
-            rank = 0
-            for x in self.cycles_z(r, p):
-                if target.add(self.apply_d(x)):
-                    rank += 1
-            if rank:
-                out[p] = rank
-        return out
-
-    def homology_dim(self) -> int:
-        """dim ker(d) - dim im(d) for the full differential."""
-        image = BitSpan(self.cols)
-        return (self.n - image.dim) - image.dim
+            cycles.append(i)
+    return Barcode(pairs, Counter(h[i] for i in cycles if i not in reduced))
 
 
 def khovanov_oracle(c: FilteredComplex) -> PageTable:
@@ -203,36 +149,59 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
     return PageTable(2, dims)
 
 
-def _blocks(c: FilteredComplex) -> list[tuple[int, _QBlock]]:
-    return [(q, _QBlock(c, q)) for q in sorted({g.q for g in c.generators})]
+def _barcodes(c: FilteredComplex) -> dict[int, Barcode]:
+    """q -> barcode of that q-block."""
+    gens = c.generators
+    order = sorted(range(len(gens)), key=lambda i: (gens[i].q, -gens[i].h))
+    local = [0] * len(gens)  # index of each generator within its q-block
+    blocks: dict[int, list[int]] = {}
+    for gi in order:
+        idx = blocks.setdefault(gens[gi].q, [])
+        local[gi] = len(idx)
+        idx.append(gi)
+    full = c.full_columns()
+    out = {}
+    for q, idx in blocks.items():
+        cols = []
+        for gi in idx:
+            mask = full[gi]
+            acc = 0
+            while mask:  # clearing the top bit shrinks the int each step
+                top = mask.bit_length() - 1
+                acc |= 1 << local[top]
+                mask ^= 1 << top
+            cols.append(acc)
+        out[q] = barcode([gens[gi].h for gi in idx], cols)
+    return out
 
 
-def _page_from_blocks(blocks, r: int) -> PageTable:
+def _page(barcodes: dict[int, Barcode], r: int) -> PageTable:
     dims: dict[tuple[int, int], int] = {}
     ranks: dict[tuple[int, int], int] = {}
-    for q, block in blocks:
-        for p, dim in block.page_dims(r).items():
+    for q, bars in barcodes.items():
+        block_dims, block_ranks = bars.page(r)
+        for p, dim in block_dims.items():
             dims[(p, q)] = dim
-        for p, rk in block.dr_ranks(r).items():
+        for p, rk in block_ranks.items():
             ranks[(p, q)] = rk
     return PageTable(r, dims, ranks)
+
+
+def _homology(barcodes: dict[int, Barcode]) -> dict[int, int]:
+    return {q: dim for q, bars in barcodes.items()
+            if (dim := sum(bars.unpaired.values()))}
 
 
 def page(c: FilteredComplex, r: int) -> PageTable:
     """One page of the spectral sequence (r >= 1)."""
     if r < 1:
         raise ValueError("page index starts at 1")
-    return _page_from_blocks(_blocks(c), r)
+    return _page(_barcodes(c), r)
 
 
-def total_homology(c: FilteredComplex, blocks=None) -> dict[int, int]:
+def total_homology(c: FilteredComplex) -> dict[int, int]:
     """q -> dim of the homology of the full differential."""
-    out = {}
-    for q, block in (blocks if blocks is not None else _blocks(c)):
-        dim = block.homology_dim()
-        if dim:
-            out[q] = dim
-    return out
+    return _homology(_barcodes(c))
 
 
 def compute(c: FilteredComplex) -> SpectralResult:
@@ -240,15 +209,10 @@ def compute(c: FilteredComplex) -> SpectralResult:
     p_values = [g.h for g in c.generators]
     length = (max(p_values) - min(p_values)) if p_values else 0
     r_max = max(2, length + 2)  # no differential has jump > length
-    blocks = _blocks(c)
-    pages = tuple(_page_from_blocks(blocks, r) for r in range(2, r_max + 1))
-    final = pages[-1].dims
-    collapse = pages[-1].r
-    for pt in pages:
-        if pt.dims == final:
-            collapse = pt.r
-            break
-    return SpectralResult(pages, collapse, total_homology(c, blocks))
+    barcodes = _barcodes(c)
+    pages = tuple(_page(barcodes, r) for r in range(2, r_max + 1))
+    max_gap = max((b.max_gap for b in barcodes.values()), default=0)
+    return SpectralResult(pages, max(2, max_gap + 1), _homology(barcodes))
 
 
 @dataclass(frozen=True)

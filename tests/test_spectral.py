@@ -1,6 +1,7 @@
 import pytest
 
 import naive
+import subspace_oracle
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL
 from khss.diagram import parse_pd, reidemeister1, reidemeister2
 from khss.filtered import build
@@ -88,6 +89,17 @@ def test_dr_ranks_account_for_page_drop():
     for cur, nxt in zip(res.pages, res.pages[1:]):
         drop = sum(cur.dims.values()) - sum(nxt.dims.values())
         assert drop == 2 * sum(cur.dr_ranks.values())
+
+
+def test_subspace_oracle_agrees_with_compute(store):
+    for name in store.names(8):
+        for reduced in (True, False):
+            res = store.result(name, reduced)
+            ref = subspace_oracle.compute(store.complex(name, reduced))
+            assert ([(pt.r, pt.dims, pt.dr_ranks) for pt in res.pages]
+                    == [(pt.r, pt.dims, pt.dr_ranks) for pt in ref.pages])
+            assert res.collapse_page == ref.collapse_page
+            assert res.total_homology == ref.total_homology
 
 
 def test_r1_invariance():
