@@ -30,7 +30,8 @@ from .diagram import (
     parse_pd,
     render,
 )
-from .filtered import DEFAULT_GENERATOR_CAP, SizeCapError, build, verify_d_squared
+from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
+                       build, verify_d_squared)
 from .spectral import SpectralResult, basepoint_sweep, compare_pages, compute
 from .tqft import Generator, GeneratorWord, check_triangle, grading_shift_word
 
@@ -155,6 +156,10 @@ def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
         c = build(d, reduced=reduced, max_generators=args.max_generators)
     except SizeCapError as exc:
         raise CliError(str(exc), EXIT_SIZE)
+    except StructureError as exc:
+        raise CliError(f"invalid diagram: {exc}")
+    except GradingError as exc:
+        raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
     if not verify_d_squared(c):
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)

@@ -114,8 +114,14 @@ def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
     """Classify the edge flipping ``crossing`` at vertex ``u``."""
     if (u >> crossing) & 1:
         raise ValueError(f"crossing {crossing} already 1-smoothed")
-    src = resolve(d, u)
-    dst = resolve(d, u | (1 << crossing))
+    return edge_between(d, resolve(d, u), resolve(d, u | (1 << crossing)),
+                        crossing)
+
+
+def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
+                 crossing: int) -> EdgeCobordism:
+    """The edge from ``src`` to ``dst``, the resolutions on either side
+    of ``crossing``, checked to be a local merge or split."""
     touched = set(d.crossings[crossing])
     sources = tuple(i for i, c in enumerate(src.circles) if c & touched)
     targets = tuple(i for i, c in enumerate(dst.circles) if c & touched)

@@ -119,60 +119,24 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
 def khovanov_oracle(c: FilteredComplex) -> PageTable:
     """Page 2 computed directly as homology of the jump-1 differential,
     ignoring all diagonals (the independent route for page(c, 2))."""
-    d1 = c.components.get(1, {})
-    by_q: dict[int, list[int]] = {}
-    for i, g in enumerate(c.generators):
-        by_q.setdefault(g.q, []).append(i)
     dims: dict[tuple[int, int], int] = {}
-    for q, idx in sorted(by_q.items()):
-        local = {gi: li for li, gi in enumerate(idx)}
-        cols = []
-        for gi in idx:
-            mask = d1.get(gi, 0)
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= 1 << local[low.bit_length() - 1]
-                mask ^= low
-            cols.append(acc)
-        p_of = [c.generators[gi].h for gi in idx]
-        for p in sorted(set(p_of)):
+    for b in c.blocks:
+        h = b.h
+        d1 = b.jump(1)
+        count = Counter(h)
+        rank = {p: BitSpan(col for col, hi in zip(d1, h) if hi == p).dim
+                for p in count}
+        for p in sorted(count):
             # ker at degree p minus image coming from degree p-1
-            out_rank = BitSpan(cols[i] for i in range(len(idx))
-                               if p_of[i] == p).dim
-            n_p = sum(1 for pi in p_of if pi == p)
-            in_rank = BitSpan(cols[i] for i in range(len(idx))
-                              if p_of[i] == p - 1).dim
-            dim = (n_p - out_rank) - in_rank
+            dim = count[p] - rank[p] - rank.get(p - 1, 0)
             if dim:
-                dims[(p, q)] = dim
+                dims[(p, b.q)] = dim
     return PageTable(2, dims)
 
 
 def _barcodes(c: FilteredComplex) -> dict[int, Barcode]:
     """q -> barcode of that q-block."""
-    gens = c.generators
-    order = sorted(range(len(gens)), key=lambda i: (gens[i].q, -gens[i].h))
-    local = [0] * len(gens)  # index of each generator within its q-block
-    blocks: dict[int, list[int]] = {}
-    for gi in order:
-        idx = blocks.setdefault(gens[gi].q, [])
-        local[gi] = len(idx)
-        idx.append(gi)
-    full = c.full_columns()
-    out = {}
-    for q, idx in blocks.items():
-        cols = []
-        for gi in idx:
-            mask = full[gi]
-            acc = 0
-            while mask:  # clearing the top bit shrinks the int each step
-                top = mask.bit_length() - 1
-                acc |= 1 << local[top]
-                mask ^= 1 << top
-            cols.append(acc)
-        out[q] = barcode([gens[gi].h for gi in idx], cols)
-    return out
+    return {b.q: barcode(b.h, b.cols) for b in c.blocks}
 
 
 def _page(barcodes: dict[int, Barcode], r: int) -> PageTable:

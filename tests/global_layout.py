@@ -1,0 +1,81 @@
+"""The differential in the global layout, assembled vertex pair by vertex
+pair from ``filtered.diagonal_map``: an oracle for the per-q block layout
+that ``filtered.build`` stores.
+
+An entry is ``(k, (u, m), (v, n))``: the composite from vertex u to a
+vertex v that differs from it at k crossings has coefficient 1 on
+monomial n of v in the image of monomial m of u.  Read off the stored
+blocks, k is the h difference of the two generators instead, so equal
+entry sets also check that each jump raises h by its crossing count.
+"""
+
+from __future__ import annotations
+
+from khss import cube
+from khss.filtered import diagonal_map, generator_gradings
+
+
+def bits(mask: int):
+    while mask:
+        top = mask.bit_length() - 1
+        yield top
+        mask ^= 1 << top
+
+
+def diagonal_entries(d, reduced: bool) -> set:
+    """Entries of every composite u -> v, u < v, one diagonal_map each."""
+    n = len(d.crossings)
+    out = set()
+    for u in range(1 << n):
+        for v in range(u + 1, 1 << n):
+            if u & ~v:
+                continue
+            k = (u ^ v).bit_count()
+            cols = diagonal_map(d, u, v, reduced).column_bits()
+            out.update((k, (u, m), (v, i))
+                       for m, col in enumerate(cols) for i in bits(col))
+    return out
+
+
+def stored_entries(c) -> set:
+    """Entries of the stored blocks, with k the h difference."""
+    out = set()
+    for b in c.blocks:
+        gens = b.generators
+        for j, col in enumerate(b.cols):
+            src = gens[j]
+            for i in bits(col):
+                dst = gens[i]
+                out.add((dst.h - src.h, (src.vertex, src.monomial),
+                         (dst.vertex, dst.monomial)))
+    return out
+
+
+def layout_faults(d, reduced: bool, c) -> list[str]:
+    """Where the stored blocks break the layout: every monomial of every
+    vertex appears once, in the block of its own q (gradings recomputed
+    from the diagram), ordered by h, highest first; every column's
+    support lies inside its own block at strictly higher h."""
+    resolutions = [cube.resolve(d, u) for u in range(1 << len(d.crossings))]
+    faults = []
+    seen = set()
+    for b in c.blocks:
+        h = b.h
+        if any(x < y for x, y in zip(h, h[1:])):
+            faults.append(f"q={b.q}: not ordered by h, highest first")
+        for j, g in enumerate(b.generators):
+            res = resolutions[g.vertex]
+            if generator_gradings(d, res, g.monomial, reduced) != (g.h, b.q):
+                faults.append(f"q={b.q}: {g} has other gradings")
+            seen.add((g.vertex, g.monomial))
+            col = b.cols[j]
+            if col >> len(h):
+                faults.append(f"q={b.q}: column {j} leaves its block")
+            elif any(h[i] <= h[j] for i in bits(col)):
+                faults.append(f"q={b.q}: column {j} does not raise h")
+    drop = 1 if reduced else 0
+    expected = {(u, m) for u, res in enumerate(resolutions)
+                for m in range(1 << (res.circle_count - drop))}
+    if seen != expected or len(seen) != c.n_generators:
+        faults.append("generators are not the cube's monomials, once each")
+    return faults

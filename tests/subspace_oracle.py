@@ -124,25 +124,8 @@ class SubspaceBlock:
 
 
 def q_blocks(c) -> dict[int, SubspaceBlock]:
-    """The q-blocks of a filtered complex, each in generator order."""
-    by_q: dict[int, list[int]] = {}
-    for gi, g in enumerate(c.generators):
-        by_q.setdefault(g.q, []).append(gi)
-    full = c.full_columns()
-    blocks = {}
-    for q, idx in sorted(by_q.items()):
-        local = {gi: li for li, gi in enumerate(idx)}
-        cols = []
-        for gi in idx:
-            mask = full[gi]
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= 1 << local[low.bit_length() - 1]
-                mask ^= low
-            cols.append(acc)
-        blocks[q] = SubspaceBlock([c.generators[gi].h for gi in idx], cols)
-    return blocks
+    """The stored q-blocks of a filtered complex."""
+    return {b.q: SubspaceBlock(b.h, b.cols) for b in c.blocks}
 
 
 def compute(c) -> SpectralResult:

@@ -7,6 +7,7 @@ they pass; each criterion is exact (zero tolerance) unless noted.
 import random
 from fractions import Fraction
 
+import global_layout
 import naive
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
 from khss.cli import random_word
@@ -55,15 +56,9 @@ def test_criterion_02_q_homogeneity(store):
     for name in store.names(9):
         for reduced in (True, False):
             c = store.complex(name, reduced)
-            for block in c.components.values():
-                for col, mask in block.items():
-                    q = c.generators[col].q
-                    m = mask
-                    while m:
-                        low = m & -m
-                        ok &= c.generators[low.bit_length() - 1].q == q
-                        m ^= low
-    report(2, "every diagonal block preserves quantum degree", ok)
+            ok &= not global_layout.layout_faults(store.corpus[name], reduced,
+                                                  c)
+    report(2, "every q-block holds one quantum degree, d raises h", ok)
 
 
 def test_criterion_03_e2_oracle(store):

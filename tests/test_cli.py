@@ -45,6 +45,16 @@ def test_compute_parse_error_exit_2(capsys):
     assert err
 
 
+def test_compute_nonplanar_diagram_exit_2(capsys):
+    # parses, but an R2 poke between arcs that share no face leaves cube
+    # edges that are neither a merge nor a split
+    code, _, err = run(capsys, "compute", "--pd",
+                       "PD[X(4,2,5,10),X(8,6,1,5),X(6,3,7,4),X(12,7,3,8),"
+                       "X(11,9,12,1),X(2,9,11,10)]")
+    assert code == 2
+    assert "invalid diagram" in err
+
+
 def test_compute_unreadable_file_exit_2(capsys):
     code, _, _ = run(capsys, "compute", "--pd", "@/no/such/file")
     assert code == 2

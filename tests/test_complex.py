@@ -2,10 +2,13 @@ import dataclasses
 
 import pytest
 
+import global_layout
 from conftest import FIGURE_EIGHT, TREFOIL
+from khss import tqft
 from khss.cube import all_monotone_paths, classify_edge
 from khss.diagram import parse_pd, reidemeister2
 from khss.filtered import (
+    GradingError,
     SizeCapError,
     build,
     diagonal_map,
@@ -13,7 +16,6 @@ from khss.filtered import (
     edge_word_columns,
     verify_d_squared,
 )
-from khss.tqft import edge_columns_reduced
 
 
 def dims_by_h(c):
@@ -54,16 +56,46 @@ def test_q_homogeneity_blockwise():
     d = parse_pd(FIGURE_EIGHT)
     for reduced in (True, False):
         c = build(d, reduced=reduced)
+        assert global_layout.layout_faults(d, reduced, c) == []
+        # the jump-k parts raise h by exactly k and sum to the columns
+        by_q = {b.q: b for b in c.blocks}
+        total = {}
         for k, block in c.components.items():
-            for col, mask in block.items():
-                q_src = c.generators[col].q
-                m = mask
-                while m:
-                    low = m & -m
-                    row = low.bit_length() - 1
-                    assert c.generators[row].q == q_src
-                    assert c.generators[row].h == c.generators[col].h + k
-                    m ^= low
+            for (q, j), mask in block.items():
+                h = by_q[q].h
+                assert all(h[i] == h[j] + k for i in global_layout.bits(mask))
+                total[(q, j)] = total.get((q, j), 0) ^ mask
+        assert total == {(b.q, j): col for b in c.blocks
+                         for j, col in enumerate(b.cols) if col}
+
+
+def test_build_rejects_a_composite_that_changes_q(monkeypatch):
+    # mutation control: toggling monomials 0 and 1 of one edge column
+    # (their q differ) leaves a bit of the wrong q in that column
+    real = tqft.edge_columns_unreduced
+
+    def corrupted(e):
+        cols = real(e)
+        if e.src.u == 0 and e.crossing == 0:
+            cols = [cols[0] ^ 0b11, *cols[1:]]
+        return cols
+
+    d = parse_pd(TREFOIL)
+    build(d, reduced=False)
+    monkeypatch.setattr(tqft, "edge_columns_unreduced", corrupted)
+    with pytest.raises(GradingError):
+        build(d, reduced=False)
+
+
+def test_blocks_match_global_layout(store):
+    cases = [(store.corpus[name], reduced) for name in store.names(6)
+             for reduced in (True, False)]
+    poked = reidemeister2(parse_pd("U"), None, None)
+    cases += [(poked, True), (poked, False)]
+    for d, reduced in cases:
+        c = build(d, reduced=reduced)
+        assert (global_layout.stored_entries(c)
+                == global_layout.diagonal_entries(d, reduced))
 
 
 def test_diagonal_map_path_independence():
@@ -99,18 +131,17 @@ def test_edge_words_match_edge_maps():
                 word = edge_as_generator_word(e)
                 assert word.source_size == e.src.circle_count
                 assert word.target_size == e.dst.circle_count
-                assert edge_word_columns(e) == edge_columns_reduced(e)
+                assert edge_word_columns(e) == tqft.edge_columns_reduced(e)
 
 
 def test_bit_flip_breaks_d_squared():
     # negative control: corrupting one entry must be detected; target a
     # row whose own outgoing column is nonzero so the square cannot stay 0
     c = build(parse_pd(TREFOIL), reduced=True)
-    cols = c.full_columns()
-    r = next(i for i in range(c.n_generators) if cols[i])
-    k1 = c.components[1]
-    col = next(col for col in k1 if col != r)
-    k1[col] ^= 1 << r
+    b, r = next((b, r) for b in c.blocks for r, col in enumerate(b.cols)
+                if col)
+    col = next(j for j in range(len(b.cols)) if j != r)
+    b.cols[col] ^= 1 << r
     assert not verify_d_squared(c)
 
 
@@ -126,13 +157,11 @@ def test_r2_square_diagonal_matches_path_composite():
     c = build(poked, reduced=False)
     assert verify_d_squared(c)
     comp = diagonal_map(poked, 0b00, 0b11, reduced=False)
-    off_u, off_v = c.vertex_offset[0b00], c.vertex_offset[0b11]
-    k2 = c.components.get(2, {})
-    for j in range(comp.cols):
-        want = 0
-        for i, row in enumerate(comp.row_bits):
-            if (row >> j) & 1:
-                want |= 1 << (off_v + i)
-        assert k2.get(off_u + j, 0) == want
+    want = {(2, (0b00, j), (0b11, i))
+            for j, col in enumerate(comp.column_bits())
+            for i in global_layout.bits(col)}
+    square = {e for e in global_layout.stored_entries(c)
+              if e[1][0] == 0b00 and e[2][0] == 0b11}
+    assert square == want
     # this particular square composite is nonzero over GF(2)
-    assert any(k2.values())
+    assert square

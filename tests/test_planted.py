@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subspace_oracle
-from khss.spectral import Barcode, barcode
+from khss.filtered import FilteredComplex, KhGenerator, QBlock
+from khss.spectral import Barcode, barcode, compute, page
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,41 @@ def test_one_flipped_entry_is_caught(block, data):
     pages_match = all(bars.page(r) == expected_page(block, r)
                       for r in range(1, 6))
     assert not squares_to_zero(cols) or not pages_match
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(planted_blocks(), min_size=2, max_size=4))
+def test_planted_complex_through_compute(planted):
+    """Several planted q-blocks (q = 0, 2, 4, ...) as one complex, through
+    ``compute`` and ``page`` themselves."""
+    blocks = []
+    for n, block in enumerate(planted):
+        gens = [KhGenerator(i, 0, h, 2 * n) for i, h in enumerate(block.h)]
+        cols = conjugate(block.planted_columns(), block.basis)
+        blocks.append(QBlock(2 * n, gens, cols))
+    c = FilteredComplex(blocks)
+    res = compute(c)
+    heights = [h for block in planted for h in block.h]
+    assert [pt.r for pt in res.pages] == list(
+        range(2, max(heights) - min(heights) + 3))
+    for r in range(1, res.pages[-1].r + 1):
+        dims, ranks = {}, {}
+        for n, block in enumerate(planted):
+            block_dims, block_ranks = expected_page(block, r)
+            dims.update(((p, 2 * n), dim) for p, dim in block_dims.items())
+            ranks.update(((p, 2 * n), rk) for p, rk in block_ranks.items())
+        pt = page(c, r)
+        assert (pt.dims, pt.dr_ranks) == (dims, ranks)
+        if r >= 2:
+            assert (res.page(r).dims, res.page(r).dr_ranks) == (dims, ranks)
+    gaps = [g for block in planted for _, g in block.pairs]
+    assert res.collapse_page == max(2, max(gaps) + 1)
+    assert res.infinity.dims == {
+        (p, 2 * n): dim for n, block in enumerate(planted)
+        for p, dim in block.unpaired.items()}
+    assert res.total_homology == {
+        2 * n: total for n, block in enumerate(planted)
+        if (total := sum(block.unpaired.values()))}
 
 
 def test_barcode_rejects_bad_blocks():
