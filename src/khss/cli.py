@@ -144,6 +144,18 @@ def read_pd_argument(text: str) -> PlanarDiagram:
         raise CliError(f"invalid diagram: {exc}")
 
 
+def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
+    """``build`` with its errors mapped to exit codes."""
+    try:
+        return build(d, reduced=reduced, max_generators=max_generators)
+    except SizeCapError as exc:
+        raise CliError(str(exc), EXIT_SIZE)
+    except StructureError as exc:
+        raise CliError(f"invalid diagram: {exc}")
+    except GradingError as exc:
+        raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
+
+
 def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
     cdir = cache_dir_from(args)
     reduced = args.reduced
@@ -152,14 +164,7 @@ def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
         if hit is not None:
             return hit
     t0 = time.perf_counter()
-    try:
-        c = build(d, reduced=reduced, max_generators=args.max_generators)
-    except SizeCapError as exc:
-        raise CliError(str(exc), EXIT_SIZE)
-    except StructureError as exc:
-        raise CliError(f"invalid diagram: {exc}")
-    except GradingError as exc:
-        raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
+    c = _build(d, reduced, args.max_generators)
     if not verify_d_squared(c):
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)
@@ -221,8 +226,8 @@ def cmd_probe(args) -> int:
 def cmd_invariance(args) -> int:
     a = read_pd_argument(args.pd)
     b = read_pd_argument(args.pd2)
-    ra = compute(build(a, reduced=args.reduced, max_generators=args.max_generators))
-    rb = compute(build(b, reduced=args.reduced, max_generators=args.max_generators))
+    ra = compute(_build(a, args.reduced, args.max_generators))
+    rb = compute(_build(b, args.reduced, args.max_generators))
     verdict = compare_pages(ra, rb)
     if verdict.equal:
         print("equal")
@@ -233,7 +238,8 @@ def cmd_invariance(args) -> int:
 
 def cmd_sweep(args) -> int:
     d = read_pd_argument(args.pd)
-    verdict = basepoint_sweep(d)
+    verdict = basepoint_sweep(
+        d, lambda dd: _build(dd, True, args.max_generators))
     if verdict.equal:
         print("equal")
         return EXIT_OK
@@ -303,15 +309,13 @@ def cmd_grading(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _add_common(sub) -> None:
+def _add_flavor(sub) -> None:
     sub.add_argument("--reduced", dest="reduced", action="store_true",
                      default=True)
     sub.add_argument("--unreduced", dest="reduced", action="store_false")
-    sub.add_argument("--basepoint", type=int, default=None, metavar="ARC")
-    sub.add_argument("--output", choices=["json", "csv"], default="json")
-    sub.add_argument("--cache", default=None, metavar="DIR")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_cap(sub) -> None:
     sub.add_argument("--max-generators", type=int,
                      default=DEFAULT_GENERATOR_CAP)
 
@@ -323,46 +327,49 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("compute", help="homology and all pages of one diagram")
-    p.add_argument("--pd", required=True, help="PD text or @file")
-    p.add_argument("--max-page", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_compute)
-
-    p = subs.add_parser("ss", help="alias of compute")
-    p.add_argument("--pd", required=True)
-    p.add_argument("--max-page", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(fn=cmd_compute)
+    for command, text in (("compute", "homology and all pages of one diagram"),
+                          ("ss", "alias of compute")):
+        p = subs.add_parser(command, help=text)
+        p.add_argument("--pd", required=True, help="PD text or @file")
+        p.add_argument("--max-page", type=int, default=None)
+        p.add_argument("--basepoint", type=int, default=None, metavar="ARC")
+        p.add_argument("--output", choices=["json", "csv"], default="json")
+        p.add_argument("--cache", default=None, metavar="DIR")
+        _add_flavor(p)
+        _add_cap(p)
+        p.set_defaults(fn=cmd_compute)
 
     p = subs.add_parser("probe", help="collapse-page sweep over a corpus")
     p.add_argument("corpus", help="corpus CSV path")
-    _add_common(p)
+    p.add_argument("--cache", default=None, metavar="DIR")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    _add_flavor(p)
+    _add_cap(p)
     p.set_defaults(fn=cmd_probe)
 
     p = subs.add_parser("invariance", help="compare the pages of two diagrams")
     p.add_argument("--pd", required=True)
     p.add_argument("--pd2", required=True)
-    _add_common(p)
+    _add_flavor(p)
+    _add_cap(p)
     p.set_defaults(fn=cmd_invariance)
 
     p = subs.add_parser("sweep", help="basepoint independence check")
     p.add_argument("--pd", required=True)
-    _add_common(p)
+    _add_cap(p)
     p.set_defaults(fn=cmd_sweep)
 
     p = subs.add_parser("tqft-check",
                         help="random-word equality of the two TQFTs")
     p.add_argument("--count", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help=argparse.SUPPRESS)  # test hook
-    _add_common(p)
     p.set_defaults(fn=cmd_tqft_check)
 
     p = subs.add_parser("grading", help="grading shift of a cobordism word")
     p.add_argument("kinds", nargs="+",
                    help="elementary kinds, e.g. saddle birth pos-stab")
-    _add_common(p)
     p.set_defaults(fn=cmd_grading)
 
     return parser

@@ -4,8 +4,8 @@ Generators are graded by (homological degree h, quantum degree q).  The
 differential sums, over every comparable vertex pair u < v, the
 composite of the edge maps along the lexicographic monotone path from u
 to v (composites are path independent, which the test suite checks
-through ``diagonal_map`` rather than assumes).  A pair that differs at k
-crossings gives the jump-k component, which raises h by k.
+rather than assumes).  A pair that differs at k crossings gives the
+jump-k component, which raises h by k.
 
 Every composite preserves q, so the complex is stored as one ``QBlock``
 per quantum degree, with block-local indices.  Inside a block the
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cube, tqft
-from .cube import EdgeCobordism, Resolution
+from .cube import Resolution
 from .diagram import PlanarDiagram
-from .gf2 import GF2Matrix
 
 DEFAULT_GENERATOR_CAP = 1 << 26
 
@@ -200,30 +199,6 @@ def _vertices_above(u: int, n: int):
         yield v
 
 
-def diagonal_map(d: PlanarDiagram, u: int, v: int, reduced: bool = True,
-                 path: list[int] | None = None) -> GF2Matrix:
-    """Composite map between the canonical bases of two comparable
-    vertices, along a monotone path (lexicographic by default)."""
-    if path is None:
-        path = cube.monotone_path(u, v)
-    else:
-        if sorted(path) != cube.monotone_path(u, v):
-            raise ValueError("path does not connect u to v")
-    edge_fn = (tqft.edge_columns_reduced if reduced
-               else tqft.edge_columns_unreduced)
-    cols = None
-    w = u
-    src = cube.resolve(d, u)
-    for crossing in path:
-        w |= 1 << crossing
-        dst = cube.resolve(d, w)
-        step = edge_fn(cube.edge_between(d, src, dst, crossing))
-        cols = step if cols is None else tqft.compose_columns(cols, step)
-        src = dst
-    rows = 1 << (src.circle_count - 1 if reduced else src.circle_count)
-    return GF2Matrix.from_columns(cols, rows)
-
-
 def verify_d_squared(c: FilteredComplex) -> bool:
     """True iff the total differential squares to zero."""
     for b in c.blocks:
@@ -237,67 +212,3 @@ def verify_d_squared(c: FilteredComplex) -> bool:
             if acc:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Edges as words in the unlink cobordism generators
-
-def edge_as_generator_word(e: EdgeCobordism) -> tqft.GeneratorWord:
-    """Express a reduced cube edge as swaps + one saddle generator +
-    swaps, acting between the canonical circle orders."""
-    n = e.src.circle_count
-    arrangement = list(e.src.circles)
-    word: list[tqft.Generator] = []
-
-    def swap_to(key, slot):
-        # bubble the circle with this identity to the given slot
-        pos = arrangement.index(key)
-        while pos > slot:
-            word.append(tqft.Generator("X", len(arrangement), pos))
-            # X_{i,n} swaps components i, i+1 = slots i-1, i; here i = pos
-            arrangement[pos - 1], arrangement[pos] = (
-                arrangement[pos], arrangement[pos - 1])
-            pos -= 1
-        while pos < slot:
-            word.append(tqft.Generator("X", len(arrangement), pos + 1))
-            arrangement[pos], arrangement[pos + 1] = (
-                arrangement[pos + 1], arrangement[pos])
-            pos += 1
-
-    if e.kind == "merge":
-        a, b = e.sources
-        (t,) = e.targets
-        if a == 0:  # merge involving the marked circle
-            swap_to(e.src.circles[b], 1)
-            word.append(tqft.Generator("Lam", n))
-            merged = [e.dst.circles[t]]
-            arrangement = merged + arrangement[2:]
-        else:
-            swap_to(e.src.circles[a], 1)
-            swap_to(e.src.circles[b], 2)
-            word.append(tqft.Generator("ILam", n))
-            arrangement = [arrangement[0], e.dst.circles[t]] + arrangement[3:]
-    else:
-        (s,) = e.sources
-        t1, t2 = e.targets
-        if s == 0:  # the marked circle splits
-            word.append(tqft.Generator("V", n))
-            new_unmarked = e.dst.circles[t2 if t1 == 0 else t1]
-            arrangement = [e.dst.circles[0], new_unmarked] + arrangement[1:]
-        else:
-            swap_to(e.src.circles[s], 1)
-            word.append(tqft.Generator("IV", n))
-            arrangement = ([arrangement[0], e.dst.circles[t1],
-                            e.dst.circles[t2]] + arrangement[2:])
-
-    # sort the arrangement into the target's canonical order
-    target = list(e.dst.circles)
-    for slot in range(1, len(target)):
-        swap_to(target[slot], slot)
-    return tqft.GeneratorWord(tuple(word))
-
-
-def edge_word_columns(e: EdgeCobordism) -> list[int]:
-    """Evaluate the generator word of an edge via the stated generator
-    matrices (the oracle side of the edge-consistency check)."""
-    return tqft.evaluate_word(edge_as_generator_word(e))

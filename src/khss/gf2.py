@@ -1,226 +1,13 @@
-"""Exact linear algebra over GF(2) with bit-packed rows.
+"""Incremental GF(2) spans of bit masks.
 
-Vectors and matrix rows are Python integers used as bit masks, so every
-row operation is a single word-wide XOR regardless of width.  All values
-are immutable after construction; elimination always works on copies.
+A vector is a Python integer used as a bit mask, so every row operation
+is a single word-wide XOR regardless of width.  The package stores its
+GF(2) maps as lists of such column masks; this module only spans them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-
-@dataclass(frozen=True)
-class GF2Vector:
-    """A vector over GF(2): bit ``i`` of ``bits`` is coordinate ``i``."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("negative length")
-        if self.bits >> self.length:
-            raise ValueError("support index out of range")
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> "GF2Vector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise ValueError(f"support index {i} out of range")
-            bits |= 1 << i
-        return cls(length, bits)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    def __add__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return GF2Vector(self.length, self.bits ^ other.bits)
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-
-@dataclass(frozen=True)
-class GF2Matrix:
-    """A matrix over GF(2), stored as bit-packed rows (bit j = column j)."""
-
-    rows: int
-    cols: int
-    row_bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.row_bits) != self.rows:
-            raise ValueError("row count mismatch")
-        for r in self.row_bits:
-            if r >> self.cols:
-                raise ValueError("row has bits outside column range")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "GF2Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        bits = []
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            bits.append(sum((int(x) & 1) << j for j, x in enumerate(row)))
-        return cls(len(bits), cols, tuple(bits))
-
-    @classmethod
-    def from_row_bits(cls, row_bits: Sequence[int], cols: int) -> "GF2Matrix":
-        return cls(len(row_bits), cols, tuple(row_bits))
-
-    @classmethod
-    def from_columns(cls, col_bits: Sequence[int], rows: int) -> "GF2Matrix":
-        """Build from column masks (bit i of ``col_bits[j]`` = entry (i, j))."""
-        out = [0] * rows
-        for j, c in enumerate(col_bits):
-            i = 0
-            while c:
-                if c & 1:
-                    out[i] |= 1 << j
-                c >>= 1
-                i += 1
-        return cls(rows, len(col_bits), tuple(out))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "GF2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def column_bits(self) -> list[int]:
-        """Column masks (bit i of result[j] = entry (i, j))."""
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_bits):
-            j = 0
-            while r:
-                if r & 1:
-                    cols[j] |= 1 << i
-                r >>= 1
-                j += 1
-        return cols
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix(self.cols, self.rows, tuple(self.column_bits()))
-
-    def mul_vector(self, v: GF2Vector) -> GF2Vector:
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            if (r & v.bits).bit_count() & 1:
-                out |= 1 << i
-        return GF2Vector(self.rows, out)
-
-    def matmul(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        other_cols = other.column_bits()
-        new_cols = []
-        my_cols = self.column_bits()
-        for c in other_cols:
-            acc = 0
-            i = 0
-            while c:
-                if c & 1:
-                    acc ^= my_cols[i]
-                c >>= 1
-                i += 1
-            new_cols.append(acc)
-        return GF2Matrix.from_columns(new_cols, self.rows)
-
-    def add(self, other: "GF2Matrix") -> "GF2Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return GF2Matrix(self.rows, self.cols,
-                         tuple(a ^ b for a, b in zip(self.row_bits, other.row_bits)))
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
-
-
-def _rref(row_bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot_cols).
-
-    Pivot search is by first nonzero entry in row order; over GF(2)
-    this is deterministic with no tie-breaking.
-    """
-    rows = list(row_bits)
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        mask = 1 << col
-        pivot = next((i for i in range(r, len(rows)) if rows[i] & mask), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & mask:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
-def rank(m: GF2Matrix) -> int:
-    """Dimension of the row space (equivalently the column space)."""
-    _, pivots = _rref(m.row_bits, m.cols)
-    return len(pivots)
-
-
-def kernel_basis(m: GF2Matrix) -> list[GF2Vector]:
-    """Basis of {v : M v = 0}; length equals cols - rank(M)."""
-    rows, pivots = _rref(m.row_bits, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for i, p in enumerate(pivots):
-            if (rows[i] >> free) & 1:
-                bits |= 1 << p
-        basis.append(GF2Vector(m.cols, bits))
-    return basis
-
-
-def image_basis(m: GF2Matrix) -> list[GF2Vector]:
-    """Basis of the column space; length equals rank(M)."""
-    # Row-reduce the transpose: its nonzero rows span the column space.
-    rows, pivots = _rref(m.transpose().row_bits, m.rows)
-    return [GF2Vector(m.rows, rows[i]) for i in range(len(pivots))]
-
-
-def span_dim(vectors: Iterable[GF2Vector]) -> int:
-    vecs = list(vectors)
-    if not vecs:
-        return 0
-    n = vecs[0].length
-    _, pivots = _rref([v.bits for v in vecs], n)
-    return len(pivots)
-
-
-def quotient_dim(ambient: Sequence[GF2Vector], sub: Sequence[GF2Vector]) -> int:
-    """dim span(ambient) - dim span(sub); requires span(sub) <= span(ambient)."""
-    dim_a = span_dim(ambient)
-    dim_s = span_dim(sub)
-    if sub:
-        stacked = list(ambient) + list(sub)
-        if span_dim(stacked) != dim_a:
-            raise ValueError("subspace not contained")
-    return dim_a - dim_s
+from typing import Iterable
 
 
 class BitSpan:

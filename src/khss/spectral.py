@@ -203,16 +203,17 @@ def compare_pages(a: SpectralResult, b: SpectralResult) -> Verdict:
 
 def basepoint_sweep(d, build_fn=None) -> Verdict:
     """Reduced results for every basepoint arc on the marked component
-    must agree pairwise."""
+    must agree pairwise.  ``build_fn`` builds the reduced complex of a
+    diagram (``filtered.build`` by default)."""
     from . import filtered
 
-    build_fn = build_fn or (lambda dd: compute(filtered.build(dd, True)))
+    build_fn = build_fn or filtered.build
     comp = d.marked_component()
     if comp is None or len(comp) < 2:
         return Verdict(True, "single-arc marked component")
     results = []
     for arc in comp:
-        results.append((arc, build_fn(d.with_basepoint(arc))))
+        results.append((arc, compute(build_fn(d.with_basepoint(arc)))))
     base_arc, base = results[0]
     for arc, res in results[1:]:
         v = compare_pages(base, res)

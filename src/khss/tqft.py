@@ -16,51 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .cube import EdgeCobordism
-from .gf2 import GF2Matrix
 
 V_PLUS = 0   # the unit, also the letter T
 V_MINUS = 1  # the degree-dropping letter, also B
-
-
-@dataclass(frozen=True)
-class FrobeniusElement:
-    """An element of V^(tensor circle_count) as a set of monomials."""
-
-    circle_count: int
-    terms: frozenset[int]
-
-    def __post_init__(self):
-        for t in self.terms:
-            if t >> self.circle_count:
-                raise ValueError("monomial has letters beyond circle count")
-
-    def __add__(self, other: "FrobeniusElement") -> "FrobeniusElement":
-        if self.circle_count != other.circle_count:
-            raise ValueError("circle count mismatch")
-        return FrobeniusElement(self.circle_count,
-                                self.terms ^ other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-@dataclass(frozen=True)
-class ReducedElement:
-    """An element of the reduced state space: monomials in T/B over the
-    unmarked circles (the marked circle carries no letter)."""
-
-    unmarked_count: int
-    terms: frozenset[int]
-
-    def __add__(self, other: "ReducedElement") -> "ReducedElement":
-        if self.unmarked_count != other.unmarked_count:
-            raise ValueError("unmarked count mismatch")
-        return ReducedElement(self.unmarked_count, self.terms ^ other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def letter_product(x: int, y: int) -> int | None:
@@ -78,109 +39,63 @@ def letter_coproduct(x: int) -> list[tuple[int, int]]:
     return [(V_PLUS, V_MINUS), (V_MINUS, V_PLUS)]
 
 
-def multiply(x: int, y: int) -> FrobeniusElement:
-    p = letter_product(x, y)
-    terms = frozenset() if p is None else frozenset({p})
-    return FrobeniusElement(1, terms)
-
-
-def comultiply(x: int) -> FrobeniusElement:
-    terms = frozenset(a | (b << 1) for a, b in letter_coproduct(x))
-    return FrobeniusElement(2, terms)
-
-
 # ---------------------------------------------------------------------------
 # Edge maps of the cube (quotient construction for the reduced flavor)
 
-def _untouched_position_map(e: EdgeCobordism) -> dict[int, int]:
-    by_key = {c: i for i, c in enumerate(e.dst.circles)}
-    out = {}
+def _edge_terms(e: EdgeCobordism, monomials: Iterable[int]):
+    """The merge/split rule: for each source monomial, the target
+    monomials of its image (never repeated, so their XOR is their
+    union).  Circles the edge does not touch keep their letters."""
+    by_key = {c: j for j, c in enumerate(e.dst.circles)}
+    # their letters are copied in runs of adjacent bits that stay
+    # adjacent: [source bit, target bit, width]
+    runs: list[list[int]] = []
     for i, c in enumerate(e.src.circles):
-        if i not in e.sources:
-            out[i] = by_key[c]
-    return out
+        if i in e.sources:
+            continue
+        j = by_key[c]
+        if runs and i - runs[-1][0] == j - runs[-1][1] == runs[-1][2]:
+            runs[-1][2] += 1
+        else:
+            runs.append([i, j, 1])
+    runs = [(i, j, (1 << w) - 1) for i, j, w in runs]
+    merge = e.kind == "merge"
+    s, t = e.sources, e.targets
+    for m in monomials:
+        base = 0
+        for i, j, width in runs:
+            base |= ((m >> i) & width) << j
+        if merge:
+            p = letter_product((m >> s[0]) & 1, (m >> s[1]) & 1)
+            yield () if p is None else (base | p << t[0],)
+        else:
+            yield [base | a << t[0] | b << t[1]
+                   for a, b in letter_coproduct((m >> s[0]) & 1)]
 
 
 def edge_columns_unreduced(e: EdgeCobordism) -> list[int]:
     """Column masks of the edge map on V^(tensor circles)."""
-    n_src = e.src.circle_count
-    reindex = _untouched_position_map(e)
     cols = []
-    for m in range(1 << n_src):
-        base = 0
-        for i, j in reindex.items():
-            if (m >> i) & 1:
-                base |= 1 << j
+    for terms in _edge_terms(e, range(1 << e.src.circle_count)):
         acc = 0
-        if e.kind == "merge":
-            i, j = e.sources
-            (t,) = e.targets
-            p = letter_product((m >> i) & 1, (m >> j) & 1)
-            if p is not None:
-                acc = 1 << (base | (p << t))
-        else:
-            (i,) = e.sources
-            t1, t2 = e.targets
-            for a, b in letter_coproduct((m >> i) & 1):
-                acc ^= 1 << (base | (a << t1) | (b << t2))
+        for t in terms:
+            acc ^= 1 << t
         cols.append(acc)
     return cols
 
 
 def edge_columns_reduced(e: EdgeCobordism) -> list[int]:
-    """Column masks of the reduced edge map, computed by the quotient:
-    put v+ on the marked circle, apply the unreduced map, and delete
-    every term carrying v- on the marked circle."""
-    n_src = e.src.circle_count
-    unred = edge_columns_unreduced(e)
-    n_dst = e.dst.circle_count
+    """Column masks of the reduced edge map, by the quotient: put v+ on
+    the marked circle (bit 0), apply the merge/split rule, delete every
+    term carrying v- there and shift the marked bit off."""
     cols = []
-    for m in range(1 << (n_src - 1)):
-        # embed: marked circle (position 0) carries v+
-        full_terms = unred[m << 1]
+    for terms in _edge_terms(e, range(0, 1 << e.src.circle_count, 2)):
         acc = 0
-        t = 0
-        while full_terms:
-            if full_terms & 1:
-                if not t & 1:  # keep only v+ on the marked circle
-                    acc ^= 1 << (t >> 1)
-            full_terms >>= 1
-            t += 1
+        for t in terms:
+            if not t & 1:
+                acc ^= 1 << (t >> 1)
         cols.append(acc)
-    del n_dst
     return cols
-
-
-def apply_edge_unreduced(e: EdgeCobordism,
-                         x: FrobeniusElement) -> FrobeniusElement:
-    if x.circle_count != e.src.circle_count:
-        raise ValueError("element does not live on the source circles")
-    cols = edge_columns_unreduced(e)
-    acc = 0
-    for t in x.terms:
-        acc ^= cols[t]
-    return FrobeniusElement(e.dst.circle_count, _mask_to_terms(acc))
-
-
-def apply_edge_reduced(e: EdgeCobordism, x: ReducedElement) -> ReducedElement:
-    if x.unmarked_count != e.src.circle_count - 1:
-        raise ValueError("element does not live on the source circles")
-    cols = edge_columns_reduced(e)
-    acc = 0
-    for t in x.terms:
-        acc ^= cols[t]
-    return ReducedElement(e.dst.circle_count - 1, _mask_to_terms(acc))
-
-
-def _mask_to_terms(mask: int) -> frozenset[int]:
-    out = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            out.add(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
 
 
 def compose_columns(first: list[int], second: list[int]) -> list[int]:
@@ -194,10 +109,6 @@ def compose_columns(first: list[int], second: list[int]) -> list[int]:
             mask ^= low
         out.append(acc)
     return out
-
-
-def columns_to_matrix(cols: list[int], rows: int) -> GF2Matrix:
-    return GF2Matrix.from_columns(cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +165,9 @@ class Generator:
         return self.n
 
 
-def hfl_generator_matrix(g: Generator) -> GF2Matrix:
-    """The stated generator matrix on the canonical T/B bases."""
-    return columns_to_matrix(_hfl_columns(g), 1 << (g.target_size - 1))
-
-
-def _hfl_columns(g: Generator) -> list[int]:
+def hfl_columns(g: Generator) -> list[int]:
+    """The stated generator matrix on the canonical T/B bases, as
+    column masks."""
     n_src = 1 << (g.source_size - 1)
     cols = []
     for m in range(n_src):
@@ -295,13 +203,9 @@ def _hfl_one(g: Generator, m: int) -> int:
     return 1 << (m & ~bit) if m & bit else 0
 
 
-def reduced_generator_matrix(g: Generator) -> GF2Matrix:
+def reduced_columns(g: Generator) -> list[int]:
     """The same generator through the marked-circle quotient of the
-    Frobenius TQFT (computed, not copied)."""
-    return columns_to_matrix(_reduced_columns(g), 1 << (g.target_size - 1))
-
-
-def _reduced_columns(g: Generator) -> list[int]:
+    Frobenius TQFT (computed, not copied), as column masks."""
     cols = []
     for m in range(1 << (g.source_size - 1)):
         cols.append(_reduced_one(g, m))
@@ -368,7 +272,7 @@ class GeneratorWord:
         return self.generators[-1].target_size if self.generators else 1
 
 
-def evaluate_word(word: GeneratorWord, matrix_fn=_hfl_columns) -> list[int]:
+def evaluate_word(word: GeneratorWord, matrix_fn=hfl_columns) -> list[int]:
     """Column masks of the composite of a word, identity when empty."""
     cols = [1 << m for m in range(1 << (word.source_size - 1))]
     for g in word.generators:
@@ -389,8 +293,8 @@ def check_triangle(word: GeneratorWord, corrupt: bool = False) -> TriangleReport
     ``corrupt`` flips one matrix entry first; a harness control that must
     always produce a failure report.
     """
-    lhs = evaluate_word(word, _hfl_columns)
-    rhs = evaluate_word(word, _reduced_columns)
+    lhs = evaluate_word(word, hfl_columns)
+    rhs = evaluate_word(word, reduced_columns)
     if corrupt:
         lhs = list(lhs)
         lhs[0] ^= 1

@@ -1,6 +1,6 @@
 """The differential in the global layout, assembled vertex pair by vertex
-pair from ``filtered.diagonal_map``: an oracle for the per-q block layout
-that ``filtered.build`` stores.
+pair from ``diagonal_map``: an oracle for the per-q block layout that
+``filtered.build`` stores.
 
 An entry is ``(k, (u, m), (v, n))``: the composite from vertex u to a
 vertex v that differs from it at k crossings has coefficient 1 on
@@ -11,8 +11,33 @@ entry sets also check that each jump raises h by its crossing count.
 
 from __future__ import annotations
 
-from khss import cube
-from khss.filtered import diagonal_map, generator_gradings
+from khss import cube, tqft
+from khss.diagram import PlanarDiagram
+from khss.filtered import generator_gradings
+
+
+def diagonal_map(d: PlanarDiagram, u: int, v: int, reduced: bool = True,
+                 path: list[int] | None = None) -> list[int]:
+    """Column masks of the composite map between the canonical bases of
+    two comparable vertices, along a monotone path (lexicographic by
+    default)."""
+    if path is None:
+        path = cube.monotone_path(u, v)
+    else:
+        if sorted(path) != cube.monotone_path(u, v):
+            raise ValueError("path does not connect u to v")
+    edge_fn = (tqft.edge_columns_reduced if reduced
+               else tqft.edge_columns_unreduced)
+    cols = None
+    w = u
+    src = cube.resolve(d, u)
+    for crossing in path:
+        w |= 1 << crossing
+        dst = cube.resolve(d, w)
+        step = edge_fn(cube.edge_between(d, src, dst, crossing))
+        cols = step if cols is None else tqft.compose_columns(cols, step)
+        src = dst
+    return cols
 
 
 def bits(mask: int):
@@ -31,7 +56,7 @@ def diagonal_entries(d, reduced: bool) -> set:
             if u & ~v:
                 continue
             k = (u ^ v).bit_count()
-            cols = diagonal_map(d, u, v, reduced).column_bits()
+            cols = diagonal_map(d, u, v, reduced)
             out.update((k, (u, m), (v, i))
                        for m, col in enumerate(cols) for i in bits(col))
     return out

@@ -10,6 +10,8 @@ from fractions import Fraction
 import global_layout
 import naive
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
+from edge_words import edge_as_generator_word, edge_word_columns
+from global_layout import diagonal_map
 from khss.cli import random_word
 from khss.cube import all_monotone_paths, classify_edge
 from khss.diagram import (
@@ -19,13 +21,7 @@ from khss.diagram import (
     reidemeister1,
     reidemeister2,
 )
-from khss.filtered import (
-    build,
-    diagonal_map,
-    edge_as_generator_word,
-    edge_word_columns,
-    verify_d_squared,
-)
+from khss.filtered import build, verify_d_squared
 from khss.spectral import compare_pages, compute, khovanov_oracle
 from khss.tqft import (
     _SHIFT_TABLE,
@@ -33,8 +29,8 @@ from khss.tqft import (
     edge_columns_reduced,
     grading_shift_surface,
     grading_shift_word,
-    hfl_generator_matrix,
-    reduced_generator_matrix,
+    hfl_columns,
+    reduced_columns,
 )
 from test_tqft import all_generators
 
@@ -80,7 +76,7 @@ def test_criterion_04_derived_values(store):
 
 
 def test_criterion_05_tqft_equality():
-    ok = all(hfl_generator_matrix(g) == reduced_generator_matrix(g)
+    ok = all(hfl_columns(g) == reduced_columns(g)
              for g in all_generators())
     rng = random.Random(42)
     ok &= all(check_triangle(random_word(rng)).ok for _ in range(1000))

@@ -7,6 +7,12 @@ from khss.cli import main
 from khss.diagram import parse_pd
 
 
+# parses, but an R2 poke between arcs that share no face leaves cube
+# edges that are neither a merge nor a split
+NONPLANAR = ("PD[X(4,2,5,10),X(8,6,1,5),X(6,3,7,4),X(12,7,3,8),"
+             "X(11,9,12,1),X(2,9,11,10)]")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -46,11 +52,13 @@ def test_compute_parse_error_exit_2(capsys):
 
 
 def test_compute_nonplanar_diagram_exit_2(capsys):
-    # parses, but an R2 poke between arcs that share no face leaves cube
-    # edges that are neither a merge nor a split
-    code, _, err = run(capsys, "compute", "--pd",
-                       "PD[X(4,2,5,10),X(8,6,1,5),X(6,3,7,4),X(12,7,3,8),"
-                       "X(11,9,12,1),X(2,9,11,10)]")
+    code, _, err = run(capsys, "compute", "--pd", NONPLANAR)
+    assert code == 2
+    assert "invalid diagram" in err
+
+
+def test_sweep_nonplanar_diagram_exit_2(capsys):
+    code, _, err = run(capsys, "sweep", "--pd", NONPLANAR)
     assert code == 2
     assert "invalid diagram" in err
 
@@ -71,6 +79,13 @@ def test_compute_pd_from_file(tmp_path, capsys):
 def test_size_cap_exit_3(capsys):
     code, _, err = run(capsys, "compute", "--pd", TREFOIL,
                        "--max-generators", "4")
+    assert code == 3
+    assert "generators" in err
+
+
+def test_invariance_size_cap_exit_3(capsys):
+    code, _, err = run(capsys, "invariance", "--pd", TREFOIL,
+                       "--pd2", TREFOIL, "--max-generators", "4")
     assert code == 3
     assert "generators" in err
 
@@ -210,6 +225,10 @@ def test_grading_command(capsys):
     assert code == 0
     assert json.loads(out) == {"alexander": "0", "maslov": "0", "delta": "0"}
     assert run(capsys, "grading", "bogus")[0] == 2
+
+
+def test_options_a_subcommand_does_not_read_are_rejected(capsys):
+    assert run(capsys, "grading", "saddle", "--threads", "2")[0] == 2
 
 
 def test_bundled_corpus_loads():

@@ -4,18 +4,12 @@ import pytest
 
 import global_layout
 from conftest import FIGURE_EIGHT, TREFOIL
+from edge_words import edge_as_generator_word, edge_word_columns
+from global_layout import diagonal_map
 from khss import tqft
 from khss.cube import all_monotone_paths, classify_edge
 from khss.diagram import parse_pd, reidemeister2
-from khss.filtered import (
-    GradingError,
-    SizeCapError,
-    build,
-    diagonal_map,
-    edge_as_generator_word,
-    edge_word_columns,
-    verify_d_squared,
-)
+from khss.filtered import GradingError, SizeCapError, build, verify_d_squared
 
 
 def dims_by_h(c):
@@ -158,7 +152,7 @@ def test_r2_square_diagonal_matches_path_composite():
     assert verify_d_squared(c)
     comp = diagonal_map(poked, 0b00, 0b11, reduced=False)
     want = {(2, (0b00, j), (0b11, i))
-            for j, col in enumerate(comp.column_bits())
+            for j, col in enumerate(comp)
             for i in global_layout.bits(col)}
     square = {e for e in global_layout.stored_entries(c)
               if e[1][0] == 0b00 and e[2][0] == 0b11}
