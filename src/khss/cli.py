@@ -180,7 +180,10 @@ def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
 def cmd_compute(args) -> int:
     d = read_pd_argument(args.pd)
     if args.basepoint is not None:
-        d = d.with_basepoint(args.basepoint)
+        try:
+            d = d.with_basepoint(args.basepoint)
+        except StructureError as exc:
+            raise CliError(f"invalid diagram: {exc}")
     record = _computed(d, args)
     if args.max_page is not None:
         record["pages"] = {r: v for r, v in record["pages"].items()
@@ -309,6 +312,13 @@ def cmd_grading(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_flavor(sub) -> None:
     sub.add_argument("--reduced", dest="reduced", action="store_true",
                      default=True)
@@ -342,7 +352,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("probe", help="collapse-page sweep over a corpus")
     p.add_argument("corpus", help="corpus CSV path")
     p.add_argument("--cache", default=None, metavar="DIR")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int,
+                   default=os.cpu_count() or 1)
     _add_flavor(p)
     _add_cap(p)
     p.set_defaults(fn=cmd_probe)

@@ -1,13 +1,25 @@
 """The (reduced or unreduced) filtered complex of a marked diagram.
 
 Generators are graded by (homological degree h, quantum degree q).  The
-differential sums, over every comparable vertex pair u < v, the
+differential D sums, over every comparable vertex pair u < v, the
 composite of the edge maps along the lexicographic monotone path from u
-to v (composites are path independent, which the test suite checks
-rather than assumes).  A pair that differs at k crossings gives the
-jump-k component, which raises h by k.
+to v, lowest crossing first (composites are path independent, which the
+test suite checks rather than assumes).  A pair that differs at k
+crossings gives the jump-k component, which raises h by k.
 
-Every composite preserves q, so the complex is stored as one ``QBlock``
+With d_i the edge maps in direction i (crossing i flipped 0 -> 1),
+those composites sum to a product:
+
+    I + D = (1 + d_{n-1}) ... (1 + d_0)
+
+Expanding it gives, for each set of directions, their composite with
+the lowest applied first, so the identity holds whether or not the
+cube's squares commute.  ``build`` evaluates it column by column: from
+the identity, it takes the directions highest first and adds to the
+column at each generator g the columns at the monomials of d_i g, one
+XOR per edge-map entry.
+
+Every edge map preserves q, so the complex is stored as one ``QBlock``
 per quantum degree, with block-local indices.  Inside a block the
 generators are ordered by h, highest first, and ``cols[j]`` is the total
 differential of local generator j: bit i is its coefficient on local
@@ -32,7 +44,7 @@ class SizeCapError(RuntimeError):
 
 
 class GradingError(RuntimeError):
-    """Internal error: a composite does not preserve the quantum degree."""
+    """Internal error: an edge map does not preserve the quantum degree."""
 
 
 @dataclass(frozen=True)
@@ -108,95 +120,71 @@ def build(d: PlanarDiagram, reduced: bool = True,
     if reduced and d.basepoint is None and d.unknotted_extras == 0:
         raise ValueError("reduced complex needs a basepoint")
     n = len(d.crossings)
-    resolutions = [cube.resolve(d, u) for u in range(1 << n)]
-    dims = [1 << (res.circle_count - 1 if reduced else res.circle_count)
-            for res in resolutions]
-    if sum(dims) > max_generators:
-        raise SizeCapError(
-            f"complex needs more than {max_generators} generators")
+    drop = 1 if reduced else 0
+    # every vertex has a generator, so the running count reaches a cap
+    # below 2^n before the whole cube is resolved
+    resolutions, dims, total = [], [], 0
+    for u in range(1 << n):
+        resolutions.append(cube.resolve(d, u))
+        dims.append(1 << (resolutions[u].circle_count - drop))
+        total += dims[u]
+        if total > max_generators:
+            raise SizeCapError(
+                f"complex needs more than {max_generators} generators")
 
-    # vertices of larger weight first puts each block's h highest first
+    # vertices of larger weight first puts each block's h highest first;
+    # per vertex, the q of monomial 0 (each letter x lowers q by 2) and
+    # q -> the mask of its monomials
     by_q: dict[int, list[KhGenerator]] = {}
+    top_q = [0] * (1 << n)
+    q_masks: list[dict[int, int]] = [{} for _ in dims]
     for u in sorted(range(1 << n), key=lambda u: -u.bit_count()):
+        masks = q_masks[u]
+        h, top_q[u] = generator_gradings(d, resolutions[u], 0, reduced)
         for m in range(dims[u]):
-            h, q = generator_gradings(d, resolutions[u], m, reduced)
+            q = top_q[u] - 2 * m.bit_count()
             by_q.setdefault(q, []).append(KhGenerator(u, m, h, q))
+            masks[q] = masks.get(q, 0) | 1 << m
     blocks = [QBlock(q, by_q[q], [0] * len(by_q[q])) for q in sorted(by_q)]
-    # per vertex, monomial -> its q, its block's columns and its index
-    # there, and the bit of that index
-    q_of = [[0] * dim for dim in dims]
-    cols_of: list[list[list[int]]] = [[[]] * dim for dim in dims]
-    index_of = [[0] * dim for dim in dims]
-    bit_of = [[0] * dim for dim in dims]
+    # col[u][m] is the column of I + D at monomial m of vertex u, over
+    # the local indices of its block; it starts as that generator's bit
+    col = [[0] * dim for dim in dims]
     for b in blocks:
         for j, g in enumerate(b.generators):
-            q_of[g.vertex][g.monomial] = b.q
-            cols_of[g.vertex][g.monomial] = b.cols
-            index_of[g.vertex][g.monomial] = j
-            bit_of[g.vertex][g.monomial] = 1 << j
+            col[g.vertex][g.monomial] = 1 << j
 
+    # I + D = (1 + d_{n-1}) ... (1 + d_0), directions highest first:
+    # after direction i, col holds the columns of the factors i and above
     edge_fn = (tqft.edge_columns_reduced if reduced
                else tqft.edge_columns_unreduced)
-    edge_cache: dict[tuple[int, int], list[int]] = {}
-
-    def edge_cols(u: int, crossing: int) -> list[int]:
-        key = (u, crossing)
-        cached = edge_cache.get(key)
-        if cached is None:
-            e = cube.edge_between(d, resolutions[u],
-                                  resolutions[u | (1 << crossing)], crossing)
-            cached = edge_cache[key] = edge_fn(e)
-        return cached
-
-    for u in range(1 << n):
-        src_q, src_cols, src_j = q_of[u], cols_of[u], index_of[u]
-        # The composite to v extends the composite to v-minus-its-top-
-        # changed-bit by one edge, so the memo makes each pair cost a
-        # single composition.  A zero composite is stored as None; every
-        # extension of a zero composite is zero, which prunes most of the
-        # deep diagonals.
-        memo: dict[int, list[int] | None] = {}
-        for v in sorted(_vertices_above(u, n)):
-            top = (u ^ v).bit_length() - 1
-            prev = v & ~(1 << top)
-            if prev == u:
-                cols = edge_cols(u, top)
-            elif memo[prev] is None:
-                memo[v] = None
+    for i in reversed(range(n)):
+        step = 1 << i
+        for u in range(1 << n):
+            if u & step:
                 continue
-            else:
-                cols = tqft.compose_columns(memo[prev], edge_cols(prev, top))
-            if not any(cols):
-                memo[v] = None
-                continue
-            memo[v] = cols
-            # scatter each column to its block, checking q bit by bit
-            qs, bit = q_of[v], bit_of[v]
-            for m, mask in enumerate(cols):
-                if mask:
-                    q, local = src_q[m], 0
-                    while mask:
-                        i = mask.bit_length() - 1
-                        if qs[i] != q:
-                            raise GradingError(
-                                f"composite from vertex {u} to {v} does "
-                                f"not preserve q on monomial {m}")
-                        local |= bit[i]
-                        mask ^= 1 << i
-                    src_cols[m][src_j[m]] ^= local
+            w = u | step
+            e = cube.edge_between(d, resolutions[u], resolutions[w], i)
+            src, dst, q0, dst_masks = col[u], col[w], top_q[u], q_masks[w]
+            for t, mask in enumerate(edge_fn(e)):
+                if not mask:
+                    continue
+                if mask & ~dst_masks.get(q0 - 2 * t.bit_count(), 0):
+                    raise GradingError(
+                        f"edge from vertex {u} at crossing {i} does not "
+                        f"preserve q on monomial {t}")
+                acc = src[t]
+                while mask:
+                    s = mask.bit_length() - 1
+                    acc ^= dst[s]
+                    mask ^= 1 << s
+                src[t] = acc
+
+    # move each column into its block without its own bit
+    for b in blocks:
+        for j, g in enumerate(b.generators):
+            b.cols[j] = col[g.vertex][g.monomial] ^ (1 << j)
+            col[g.vertex][g.monomial] = 0
     return FilteredComplex(blocks)
-
-
-def _vertices_above(u: int, n: int):
-    """All v with u < v, by adding subsets of the zero bits of u."""
-    zeros = [i for i in range(n) if not (u >> i) & 1]
-    for sub in range(1, 1 << len(zeros)):
-        v = u
-        s = sub
-        for i, z in enumerate(zeros):
-            if (s >> i) & 1:
-                v |= 1 << z
-        yield v
 
 
 def verify_d_squared(c: FilteredComplex) -> bool:

@@ -63,6 +63,12 @@ def test_sweep_nonplanar_diagram_exit_2(capsys):
     assert "invalid diagram" in err
 
 
+def test_compute_bad_basepoint_exit_2(capsys):
+    code, _, err = run(capsys, "compute", "--pd", TREFOIL, "--basepoint", "99")
+    assert code == 2
+    assert "invalid diagram: basepoint 99 is not a valid arc" in err
+
+
 def test_compute_unreadable_file_exit_2(capsys):
     code, _, _ = run(capsys, "compute", "--pd", "@/no/such/file")
     assert code == 2
@@ -139,6 +145,15 @@ def test_probe_corpus(capsys, tmp_path):
     assert lines[0].startswith("name,flavor,collapse_page")
     assert len(lines) == 3
     assert all(row.split(",")[2] == "2" for row in lines[1:])
+
+
+def test_probe_threads_below_one_exit_2(capsys, tmp_path):
+    small = tmp_path / "small.csv"
+    small.write_text("unknot,U\n")
+    for threads in ("0", "-1"):
+        code, out, err = run(capsys, "probe", str(small), "--threads", threads)
+        assert code == 2
+        assert "--threads" in err and not out
 
 
 def test_probe_empty_corpus(capsys, tmp_path):

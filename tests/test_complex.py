@@ -6,7 +6,7 @@ import global_layout
 from conftest import FIGURE_EIGHT, TREFOIL
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import diagonal_map
-from khss import tqft
+from khss import cube, tqft
 from khss.cube import all_monotone_paths, classify_edge
 from khss.diagram import parse_pd, reidemeister2
 from khss.filtered import GradingError, SizeCapError, build, verify_d_squared
@@ -92,6 +92,24 @@ def test_blocks_match_global_layout(store):
                 == global_layout.diagonal_entries(d, reduced))
 
 
+def test_blocks_match_global_layout_at_every_basepoint(store):
+    # from every basepoint arc the marked circle takes part in merges and
+    # splits; a crossingless extra can carry the mark or sit unmarked; the
+    # 0-crossing unknot has a single vertex and no edges
+    diagrams = [parse_pd("U")]
+    for name in store.names(5):
+        d = store.corpus[name]
+        diagrams += [d.with_basepoint(arc) for arc in range(1, d.arc_count + 1)]
+    with_extra = parse_pd(TREFOIL + "+U")
+    diagrams += [with_extra, with_extra.with_basepoint(None)]
+    for d in diagrams:
+        for reduced in (True, False):
+            c = build(d, reduced=reduced)
+            assert global_layout.layout_faults(d, reduced, c) == []
+            assert (global_layout.stored_entries(c)
+                    == global_layout.diagonal_entries(d, reduced))
+
+
 def test_diagonal_map_path_independence():
     for text in (TREFOIL, FIGURE_EIGHT):
         d = parse_pd(text)
@@ -142,6 +160,33 @@ def test_bit_flip_breaks_d_squared():
 def test_size_cap():
     with pytest.raises(SizeCapError):
         build(parse_pd(TREFOIL), reduced=False, max_generators=10)
+
+
+def torus_pd(n: int) -> str:
+    """PD of T(2, n), the closure of the 2-braid sigma_1^n."""
+    def arc(i):
+        return (i - 1) % (2 * n) + 1
+    return "PD[" + ",".join(
+        f"X({arc(2 * k + 1)},{arc(2 * k + 4)},{arc(2 * k + 2)},"
+        f"{arc(2 * k + 5)})" for k in range(n)) + "]"
+
+
+def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
+    assert torus_pd(3) == TREFOIL
+    d = parse_pd(torus_pd(22))
+    real = cube.resolve
+    calls = []
+
+    def counted(diagram, u):
+        calls.append(u)
+        return real(diagram, u)
+
+    monkeypatch.setattr(cube, "resolve", counted)
+    with pytest.raises(SizeCapError):
+        build(d, reduced=True, max_generators=1000)
+    # every vertex has a generator, so the cap is passed within 1001 of
+    # the 2^22 vertices
+    assert len(calls) <= 1001
 
 
 def test_r2_square_diagonal_matches_path_composite():
