@@ -1,9 +1,10 @@
 """Khovanov-type spectral sequences for knot diagrams over GF(2).
 
 The package builds the cube of resolutions of a planar diagram, assembles
-the filtered chain complex (reduced or unreduced flavor), and computes
-the pages of the induced spectral sequence together with collapse and
-invariance diagnostics.
+the Khovanov complex (reduced or unreduced flavor) filtered by
+homological degree, and computes the pages of the induced spectral
+sequence (all equal to Khovanov homology from page 2 on, see
+``khss.spectral``) together with collapse and invariance diagnostics.
 """
 
 from .diagram import (

@@ -95,7 +95,6 @@ def cache_key(d: PlanarDiagram, reduced: bool) -> str:
 
 def cache_store(record: dict, directory: Path, d: PlanarDiagram,
                 reduced: bool) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
     body = json.dumps(record, sort_keys=True)
     wrapped = json.dumps({
         "checksum": hashlib.sha256(body.encode()).hexdigest(),
@@ -124,7 +123,7 @@ def cache_load(directory: Path, d: PlanarDiagram, reduced: bool) -> dict | None:
         if hashlib.sha256(body.encode()).hexdigest() != wrapped["checksum"]:
             raise ValueError("checksum mismatch")
         return wrapped["record"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path.name}: {exc}",
               file=sys.stderr)
         return None
@@ -160,6 +159,10 @@ def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
     cdir = cache_dir_from(args)
     reduced = args.reduced
     if cdir is not None:
+        try:
+            cdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot use cache directory {cdir}: {exc}")
         hit = cache_load(cdir, d, reduced)
         if hit is not None:
             return hit
@@ -171,7 +174,10 @@ def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
     result = compute(c)
     record = run_record(d, reduced, result, name, time.perf_counter() - t0)
     if cdir is not None:
-        cache_store(record, cdir, d, reduced)
+        try:
+            cache_store(record, cdir, d, reduced)
+        except OSError as exc:  # the record stands without its cache entry
+            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
     return record
 
 

@@ -8,13 +8,10 @@ flips one crossing 0 -> 1 and is a merge or a split of circles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .diagram import PlanarDiagram, StructureError
 
 Circle = frozenset  # of arc labels; crossingless extras get labels > arc_count
-
-PATH_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -136,28 +133,3 @@ def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
         raise StructureError("cube edge is not a local merge or split")
     return EdgeCobordism(src, dst, crossing, kind, sources, targets)
 
-
-def monotone_path(u: int, v: int) -> list[int]:
-    """The lexicographically smallest ordering of the crossings changed
-    between u < v (indices in increasing order)."""
-    if (u & v) != u:
-        raise ValueError("not comparable")
-    if u == v:
-        return []
-    diff = u ^ v
-    out = []
-    i = 0
-    while diff:
-        if diff & 1:
-            out.append(i)
-        diff >>= 1
-        i += 1
-    return out
-
-
-def all_monotone_paths(u: int, v: int, cap: int = PATH_CAP) -> list[list[int]]:
-    """All k! orderings of the changed crossings (k <= cap)."""
-    base = monotone_path(u, v)
-    if len(base) > cap:
-        raise ValueError(f"path explosion: {len(base)} > cap {cap}")
-    return [list(p) for p in permutations(base)]

@@ -1,27 +1,13 @@
 """The (reduced or unreduced) filtered complex of a marked diagram.
 
 Generators are graded by (homological degree h, quantum degree q).  The
-differential D sums, over every comparable vertex pair u < v, the
-composite of the edge maps along the lexicographic monotone path from u
-to v, lowest crossing first (composites are path independent, which the
-test suite checks rather than assumes).  A pair that differs at k
-crossings gives the jump-k component, which raises h by k.
-
-With d_i the edge maps in direction i (crossing i flipped 0 -> 1),
-those composites sum to a product:
-
-    I + D = (1 + d_{n-1}) ... (1 + d_0)
-
-Expanding it gives, for each set of directions, their composite with
-the lowest applied first, so the identity holds whether or not the
-cube's squares commute.  ``build`` evaluates it column by column: from
-the identity, it takes the directions highest first and adds to the
-column at each generator g the columns at the monomials of d_i g, one
-XOR per edge-map entry.
+differential d is the sum of the edge maps over every cube edge, and
+raises h by 1.  The paper's differential D adds the composites along
+monotone paths; it gives the same pages (see ``spectral``).
 
 Every edge map preserves q, so the complex is stored as one ``QBlock``
 per quantum degree, with block-local indices.  Inside a block the
-generators are ordered by h, highest first, and ``cols[j]`` is the total
+generators are ordered by h, highest first, and ``cols[j]`` is the
 differential of local generator j: bit i is its coefficient on local
 generator i of the same block.  The rows of the jump-k part of a column
 at degree h are the contiguous local range at h + k, so the jump-k
@@ -58,8 +44,7 @@ class KhGenerator:
 @dataclass(frozen=True)
 class QBlock:
     """The generators of quantum degree q, ordered by h, highest first,
-    and the total differential as column masks over their local
-    indices."""
+    and the differential as column masks over their local indices."""
 
     q: int
     generators: list[KhGenerator]
@@ -96,7 +81,8 @@ class FilteredComplex:
     def components(self) -> dict[int, dict[tuple[int, int], int]]:
         """Jump k -> {(q, local column) -> local row mask}, derived from
         the blocks on every call (the pipeline reads the blocks; the
-        benchmark's size counters read this view)."""
+        benchmark's size counters read this view).  ``build`` gives
+        jump 1 only."""
         out: dict[int, dict[tuple[int, int], int]] = {}
         for b in self.blocks:
             for k in range(1, b.generators[0].h - b.generators[-1].h + 1):
@@ -146,49 +132,43 @@ def build(d: PlanarDiagram, reduced: bool = True,
             by_q.setdefault(q, []).append(KhGenerator(u, m, h, q))
             masks[q] = masks.get(q, 0) | 1 << m
     blocks = [QBlock(q, by_q[q], [0] * len(by_q[q])) for q in sorted(by_q)]
-    # col[u][m] is the column of I + D at monomial m of vertex u, over
-    # the local indices of its block; it starts as that generator's bit
-    col = [[0] * dim for dim in dims]
+    cols = {b.q: b.cols for b in blocks}
+    index = [[0] * dim for dim in dims]  # local index of monomial m of u
     for b in blocks:
         for j, g in enumerate(b.generators):
-            col[g.vertex][g.monomial] = 1 << j
+            index[g.vertex][g.monomial] = j
 
-    # I + D = (1 + d_{n-1}) ... (1 + d_0), directions highest first:
-    # after direction i, col holds the columns of the factors i and above
+    # d = sum of the edge maps: one OR per edge-map entry, since every
+    # entry of d lies on exactly one edge
     edge_fn = (tqft.edge_columns_reduced if reduced
                else tqft.edge_columns_unreduced)
-    for i in reversed(range(n)):
+    for i in range(n):
         step = 1 << i
         for u in range(1 << n):
             if u & step:
                 continue
             w = u | step
             e = cube.edge_between(d, resolutions[u], resolutions[w], i)
-            src, dst, q0, dst_masks = col[u], col[w], top_q[u], q_masks[w]
+            src, dst, q0, dst_masks = index[u], index[w], top_q[u], q_masks[w]
             for t, mask in enumerate(edge_fn(e)):
                 if not mask:
                     continue
-                if mask & ~dst_masks.get(q0 - 2 * t.bit_count(), 0):
+                q = q0 - 2 * t.bit_count()
+                if mask & ~dst_masks.get(q, 0):
                     raise GradingError(
                         f"edge from vertex {u} at crossing {i} does not "
                         f"preserve q on monomial {t}")
-                acc = src[t]
+                acc = 0
                 while mask:
                     s = mask.bit_length() - 1
-                    acc ^= dst[s]
+                    acc |= 1 << dst[s]
                     mask ^= 1 << s
-                src[t] = acc
-
-    # move each column into its block without its own bit
-    for b in blocks:
-        for j, g in enumerate(b.generators):
-            b.cols[j] = col[g.vertex][g.monomial] ^ (1 << j)
-            col[g.vertex][g.monomial] = 0
+                cols[q][src[t]] |= acc
     return FilteredComplex(blocks)
 
 
 def verify_d_squared(c: FilteredComplex) -> bool:
-    """True iff the total differential squares to zero."""
+    """True iff the differential squares to zero."""
     for b in c.blocks:
         cols = b.cols
         for mask in cols:

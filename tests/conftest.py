@@ -2,6 +2,7 @@ import pytest
 
 from importlib import resources
 
+import d_oracle
 from khss import build, compute, load_corpus
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
@@ -20,6 +21,7 @@ class Store:
     def __init__(self):
         self.corpus = dict(load_corpus(corpus_path()))
         self._complexes = {}
+        self._composites = {}
         self._results = {}
 
     def complex(self, name: str, reduced: bool = True):
@@ -27,6 +29,13 @@ class Store:
         if key not in self._complexes:
             self._complexes[key] = build(self.corpus[name], reduced=reduced)
         return self._complexes[key]
+
+    def composite(self, name: str, reduced: bool = True):
+        """The complex with the composite differential D of d_oracle."""
+        key = (name, reduced)
+        if key not in self._composites:
+            self._composites[key] = d_oracle.build(self.corpus[name], reduced)
+        return self._composites[key]
 
     def result(self, name: str, reduced: bool = True):
         key = (name, reduced)

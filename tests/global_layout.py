@@ -1,6 +1,8 @@
 """The differential in the global layout, assembled vertex pair by vertex
 pair from ``diagonal_map``: an oracle for the per-q block layout that
-``filtered.build`` stores.
+``filtered.build`` stores (its k = 1 entries) and for the composite
+differential of ``d_oracle`` (every entry).  The monotone paths that
+``diagonal_map`` follows are listed here too.
 
 An entry is ``(k, (u, m), (v, n))``: the composite from vertex u to a
 vertex v that differs from it at k crossings has coefficient 1 on
@@ -11,9 +13,39 @@ entry sets also check that each jump raises h by its crossing count.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 from khss import cube, tqft
 from khss.diagram import PlanarDiagram
 from khss.filtered import generator_gradings
+
+PATH_CAP = 6
+
+
+def monotone_path(u: int, v: int) -> list[int]:
+    """The lexicographically smallest ordering of the crossings changed
+    between u < v (indices in increasing order)."""
+    if (u & v) != u:
+        raise ValueError("not comparable")
+    if u == v:
+        return []
+    diff = u ^ v
+    out = []
+    i = 0
+    while diff:
+        if diff & 1:
+            out.append(i)
+        diff >>= 1
+        i += 1
+    return out
+
+
+def all_monotone_paths(u: int, v: int, cap: int = PATH_CAP) -> list[list[int]]:
+    """All k! orderings of the changed crossings (k <= cap)."""
+    base = monotone_path(u, v)
+    if len(base) > cap:
+        raise ValueError(f"path explosion: {len(base)} > cap {cap}")
+    return [list(p) for p in permutations(base)]
 
 
 def diagonal_map(d: PlanarDiagram, u: int, v: int, reduced: bool = True,
@@ -22,9 +54,9 @@ def diagonal_map(d: PlanarDiagram, u: int, v: int, reduced: bool = True,
     two comparable vertices, along a monotone path (lexicographic by
     default)."""
     if path is None:
-        path = cube.monotone_path(u, v)
+        path = monotone_path(u, v)
     else:
-        if sorted(path) != cube.monotone_path(u, v):
+        if sorted(path) != monotone_path(u, v):
             raise ValueError("path does not connect u to v")
     edge_fn = (tqft.edge_columns_reduced if reduced
                else tqft.edge_columns_unreduced)

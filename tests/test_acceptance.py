@@ -11,9 +11,9 @@ import global_layout
 import naive
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
 from edge_words import edge_as_generator_word, edge_word_columns
-from global_layout import diagonal_map
+from global_layout import all_monotone_paths, diagonal_map
 from khss.cli import random_word
-from khss.cube import all_monotone_paths, classify_edge
+from khss.cube import classify_edge
 from khss.diagram import (
     StructureError,
     is_alternating,

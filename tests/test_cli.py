@@ -209,6 +209,32 @@ def test_cache_corrupt_entry_is_miss(tmp_path, capsys):
     assert "cache" in err
 
 
+def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    _, fresh, _ = run(capsys, "compute", "--pd", TREFOIL, "--cache",
+                      str(cache))
+    entry = next(cache.glob("*.json"))
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, "compute", "--pd", TREFOIL, "--cache",
+                         str(cache))
+    assert code == 0
+    a, b = json.loads(fresh), json.loads(out)
+    del a["meta"], b["meta"]
+    assert a == b  # recomputed; the entry can be neither read nor written
+    assert "cache" in err
+
+
+def test_cache_path_of_a_regular_file_exit_2(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("")
+    code, out, err = run(capsys, "compute", "--pd", TREFOIL, "--cache",
+                         str(cache))
+    assert code == 2
+    assert out == ""
+    assert f"cannot use cache directory {cache}" in err
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KH_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "compute", "--pd", "U")

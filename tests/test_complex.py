@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
+import d_oracle
 import global_layout
 from conftest import FIGURE_EIGHT, TREFOIL
 from edge_words import edge_as_generator_word, edge_word_columns
-from global_layout import diagonal_map
+from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, tqft
-from khss.cube import all_monotone_paths, classify_edge
+from khss.cube import classify_edge
 from khss.diagram import parse_pd, reidemeister2
 from khss.filtered import GradingError, SizeCapError, build, verify_d_squared
 
@@ -47,20 +48,22 @@ def test_d_squared_zero_small():
 
 
 def test_q_homogeneity_blockwise():
+    # d has jump 1 only; the composite differential D has every jump
     d = parse_pd(FIGURE_EIGHT)
     for reduced in (True, False):
-        c = build(d, reduced=reduced)
-        assert global_layout.layout_faults(d, reduced, c) == []
-        # the jump-k parts raise h by exactly k and sum to the columns
-        by_q = {b.q: b for b in c.blocks}
-        total = {}
-        for k, block in c.components.items():
-            for (q, j), mask in block.items():
-                h = by_q[q].h
-                assert all(h[i] == h[j] + k for i in global_layout.bits(mask))
-                total[(q, j)] = total.get((q, j), 0) ^ mask
-        assert total == {(b.q, j): col for b in c.blocks
-                         for j, col in enumerate(b.cols) if col}
+        for c in (build(d, reduced=reduced), d_oracle.build(d, reduced)):
+            assert global_layout.layout_faults(d, reduced, c) == []
+            # the jump-k parts raise h by exactly k and sum to the columns
+            by_q = {b.q: b for b in c.blocks}
+            total = {}
+            for k, block in c.components.items():
+                for (q, j), mask in block.items():
+                    h = by_q[q].h
+                    assert all(h[i] == h[j] + k
+                               for i in global_layout.bits(mask))
+                    total[(q, j)] = total.get((q, j), 0) ^ mask
+            assert total == {(b.q, j): col for b in c.blocks
+                             for j, col in enumerate(b.cols) if col}
 
 
 def test_build_rejects_a_composite_that_changes_q(monkeypatch):
@@ -81,15 +84,24 @@ def test_build_rejects_a_composite_that_changes_q(monkeypatch):
         build(d, reduced=False)
 
 
+def assert_matches_global_layout(d, reduced):
+    """build stores the k = 1 entries of the per-pair oracle, and the
+    composite differential of d_oracle stores all of them."""
+    c = build(d, reduced=reduced)
+    want = global_layout.diagonal_entries(d, reduced)
+    assert (global_layout.stored_entries(c)
+            == {e for e in want if e[0] == 1})
+    assert global_layout.stored_entries(d_oracle.build(d, reduced)) == want
+    return c
+
+
 def test_blocks_match_global_layout(store):
     cases = [(store.corpus[name], reduced) for name in store.names(6)
              for reduced in (True, False)]
     poked = reidemeister2(parse_pd("U"), None, None)
     cases += [(poked, True), (poked, False)]
     for d, reduced in cases:
-        c = build(d, reduced=reduced)
-        assert (global_layout.stored_entries(c)
-                == global_layout.diagonal_entries(d, reduced))
+        assert_matches_global_layout(d, reduced)
 
 
 def test_blocks_match_global_layout_at_every_basepoint(store):
@@ -104,10 +116,8 @@ def test_blocks_match_global_layout_at_every_basepoint(store):
     diagrams += [with_extra, with_extra.with_basepoint(None)]
     for d in diagrams:
         for reduced in (True, False):
-            c = build(d, reduced=reduced)
+            c = assert_matches_global_layout(d, reduced)
             assert global_layout.layout_faults(d, reduced, c) == []
-            assert (global_layout.stored_entries(c)
-                    == global_layout.diagonal_entries(d, reduced))
 
 
 def test_diagonal_map_path_independence():
@@ -190,17 +200,24 @@ def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
 
 
 def test_r2_square_diagonal_matches_path_composite():
-    # across the full poke square the jump-2 component must agree with
-    # the two-edge composite, and the corrected complex still squares to 0
+    # across the full poke square the jump-2 component of D must agree
+    # with the two-edge composite, d has no entry there, and both square
+    # to 0
     poked = reidemeister2(parse_pd("U"), None, None)
     c = build(poked, reduced=False)
+    composite = d_oracle.build(poked, reduced=False)
     assert verify_d_squared(c)
+    assert verify_d_squared(composite)
     comp = diagonal_map(poked, 0b00, 0b11, reduced=False)
     want = {(2, (0b00, j), (0b11, i))
             for j, col in enumerate(comp)
             for i in global_layout.bits(col)}
-    square = {e for e in global_layout.stored_entries(c)
-              if e[1][0] == 0b00 and e[2][0] == 0b11}
-    assert square == want
+
+    def square(c):
+        return {e for e in global_layout.stored_entries(c)
+                if e[1][0] == 0b00 and e[2][0] == 0b11}
+
+    assert square(composite) == want
+    assert square(c) == set()
     # this particular square composite is nonzero over GF(2)
-    assert square
+    assert want

@@ -1,0 +1,87 @@
+"""The Khovanov differential d and the composite differential D are
+conjugate as filtered complexes: G d = D G for the conjugator of
+``d_oracle``, so every page r >= 2 of the spectral sequence equals E_2.
+"""
+
+import sys
+from pathlib import Path
+
+import d_oracle
+from conftest import TREFOIL
+from khss import tqft
+from khss.diagram import parse_pd
+from khss.filtered import build, verify_d_squared
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def identity_conjugates(c, composite) -> bool:
+    return all(d_oracle.conjugates(b, cb, [1 << j for j in range(len(b.cols))])
+               for b, cb in zip(c.blocks, composite.blocks))
+
+
+def test_d_conjugates_to_D_on_the_corpus(store):
+    for name in store.names():
+        n = len(store.corpus[name].crossings)
+        for reduced in (True, False):
+            c = store.complex(name, reduced)
+            composite = store.composite(name, reduced)
+            assert d_oracle.conjugate(c, composite, n)
+            # control: with crossings D has entries of jump >= 2, so the
+            # identity does not conjugate d to D
+            assert identity_conjugates(c, composite) == (n == 0)
+
+
+def test_d_conjugates_to_D_at_every_basepoint(store):
+    for name in store.names(5):
+        d = store.corpus[name]
+        for arc in range(1, d.arc_count + 1):
+            moved = d.with_basepoint(arc)
+            for reduced in (True, False):
+                assert d_oracle.conjugate(build(moved, reduced),
+                                          d_oracle.build(moved, reduced),
+                                          len(d.crossings))
+
+
+def probe_closures() -> list[str]:
+    """PD texts of the closures of the benchmark's probe workload, seed 1."""
+    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+    try:
+        import inputs
+    finally:
+        del sys.path[:2]
+    return [case.pd for case in inputs.braid_cases(inputs.PROBE_MIX, 1,
+                                                   "probe")]
+
+
+def test_d_conjugates_to_D_on_the_probe_closures():
+    pds = probe_closures()
+    assert len(pds) == 30
+    for pd in pds:
+        d = parse_pd(pd)
+        assert d_oracle.conjugate(build(d), d_oracle.build(d),
+                                  len(d.crossings))
+
+
+def test_a_square_that_does_not_commute_is_caught(monkeypatch):
+    # mutation control: drop the entry monomial 0 -> monomial 0 from the
+    # edge at vertex 0, crossing 0 (q is kept), so the squares at that
+    # edge stop commuting; d^2 = 0 and G d = D G must both fail
+    d = parse_pd(TREFOIL)
+    for reduced, fn in ((True, "edge_columns_reduced"),
+                        (False, "edge_columns_unreduced")):
+        real = getattr(tqft, fn)
+
+        def corrupted(e, real=real):
+            cols = real(e)
+            if e.src.u == 0 and e.crossing == 0:
+                assert cols[0] & 1
+                cols = [cols[0] ^ 1, *cols[1:]]
+            return cols
+
+        assert d_oracle.conjugate(build(d, reduced),
+                                  d_oracle.build(d, reduced), 3)
+        monkeypatch.setattr(tqft, fn, corrupted)
+        c, composite = build(d, reduced), d_oracle.build(d, reduced)
+        assert not verify_d_squared(c)
+        assert not d_oracle.conjugate(c, composite, 3)

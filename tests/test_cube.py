@@ -3,13 +3,8 @@ import itertools
 import pytest
 
 from conftest import TREFOIL
-from khss.cube import (
-    all_monotone_paths,
-    classify_edge,
-    monotone_path,
-    resolve,
-    smoothing_pairings,
-)
+from global_layout import all_monotone_paths, monotone_path
+from khss.cube import classify_edge, resolve, smoothing_pairings
 from khss.diagram import parse_pd
 
 

@@ -92,10 +92,13 @@ def test_dr_ranks_account_for_page_drop():
 
 
 def test_subspace_oracle_agrees_with_compute(store):
+    # the subspace formula on the composite differential D against the
+    # persistence pairing on d: one independent algorithm on one
+    # independent complex, for every page
     for name in store.names(8):
         for reduced in (True, False):
             res = store.result(name, reduced)
-            ref = subspace_oracle.compute(store.complex(name, reduced))
+            ref = subspace_oracle.compute(store.composite(name, reduced))
             assert ([(pt.r, pt.dims, pt.dr_ranks) for pt in res.pages]
                     == [(pt.r, pt.dims, pt.dr_ranks) for pt in ref.pages])
             assert res.collapse_page == ref.collapse_page
