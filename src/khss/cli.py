@@ -332,7 +332,7 @@ def _add_flavor(sub) -> None:
 
 
 def _add_cap(sub) -> None:
-    sub.add_argument("--max-generators", type=int,
+    sub.add_argument("--max-generators", type=_positive_int,
                      default=DEFAULT_GENERATOR_CAP)
 
 

@@ -3,6 +3,14 @@
 A vertex is a 0/1 assignment to the crossings (stored as a bit mask);
 smoothing the crossings partitions the arcs into circles.  Each edge
 flips one crossing 0 -> 1 and is a merge or a split of circles.
+
+A resolution names its circles by index: ``labels[a]`` is the index of
+the circle through arc ``a`` (crossingless extras are the arcs past
+``arc_count``; ``labels[0]`` is -1, there is no arc 0).  The order is
+canonical: the marked circle is 0, the rest follow by lowest arc.  A
+circle the flipped crossing does not touch has the same arcs at both
+ends of an edge, so those circles keep their relative order, and the
+edge maps pair them up in increasing index order.
 """
 
 from __future__ import annotations
@@ -11,29 +19,14 @@ from dataclasses import dataclass
 
 from .diagram import PlanarDiagram, StructureError
 
-Circle = frozenset  # of arc labels; crossingless extras get labels > arc_count
-
 
 @dataclass(frozen=True)
 class Resolution:
-    """One cube vertex: smoothing choice plus its circle partition.
-
-    Circles are canonically ordered: the marked circle first, remaining
-    circles by minimal arc label.
-    """
+    """One cube vertex: smoothing choice and the circle of every arc."""
 
     u: int
-    n_crossings: int
-    circles: tuple[Circle, ...]
-    marked_index: int
-
-    @property
-    def weight(self) -> int:
-        return self.u.bit_count()
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
+    circle_count: int
+    labels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -46,24 +39,6 @@ class EdgeCobordism:
     kind: str  # "merge" | "split"
     sources: tuple[int, ...]  # circle indices in src
     targets: tuple[int, ...]  # circle indices in dst
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 def smoothing_pairings(crossing: tuple[int, int, int, int],
@@ -80,31 +55,28 @@ def smoothing_pairings(crossing: tuple[int, int, int, int],
 
 
 def resolve(d: PlanarDiagram, u: int) -> Resolution:
-    """Compute the circle partition of the smoothing ``u`` (bit mask)."""
-    n = len(d.crossings)
-    if u >> n:
+    """Compute the circle labels of the smoothing ``u`` (bit mask)."""
+    if u >> len(d.crossings):
         raise ValueError("smoothing has more bits than crossings")
-    uf = _UnionFind()
-    for arc in range(1, d.arc_count + 1):
-        uf.find(arc)
+    size = d.arc_count + d.unknotted_extras + 1
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for ci, cr in enumerate(d.crossings):
         for x, y in smoothing_pairings(cr, (u >> ci) & 1):
-            uf.union(x, y)
-    groups: dict[int, set[int]] = {}
-    for arc in range(1, d.arc_count + 1):
-        groups.setdefault(uf.find(arc), set()).add(arc)
-    circles = [Circle(g) for g in groups.values()]
-    # crossingless unknot components are present in every resolution
-    for i in range(d.unknotted_extras):
-        circles.append(Circle({d.arc_count + 1 + i}))
+            parent[find(x)] = find(y)
 
-    marked_arc = d.basepoint if d.basepoint is not None else d.arc_count + 1
-    marked = [c for c in circles if marked_arc in c]
-    if not marked:
+    marked = d.basepoint if d.basepoint is not None else d.arc_count + 1
+    if not 0 < marked < size:
         raise StructureError("basepoint arc missing from every circle")
-    rest = sorted((c for c in circles if c is not marked[0]), key=min)
-    ordered = (marked[0], *rest)
-    return Resolution(u, n, ordered, 0)
+    number = {find(marked): 0}  # root -> circle index, new roots in arc order
+    labels = [number.setdefault(find(a), len(number)) for a in range(1, size)]
+    return Resolution(u, len(number), (-1, *labels))
 
 
 def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
@@ -119,9 +91,9 @@ def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
                  crossing: int) -> EdgeCobordism:
     """The edge from ``src`` to ``dst``, the resolutions on either side
     of ``crossing``, checked to be a local merge or split."""
-    touched = set(d.crossings[crossing])
-    sources = tuple(i for i, c in enumerate(src.circles) if c & touched)
-    targets = tuple(i for i, c in enumerate(dst.circles) if c & touched)
+    arcs = d.crossings[crossing]
+    sources = tuple(sorted({src.labels[a] for a in arcs}))
+    targets = tuple(sorted({dst.labels[a] for a in arcs}))
     diff = dst.circle_count - src.circle_count
     if diff == -1 and len(sources) == 2 and len(targets) == 1:
         kind = "merge"
@@ -132,4 +104,3 @@ def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
         # both mean the PD text has no planar realization
         raise StructureError("cube edge is not a local merge or split")
     return EdgeCobordism(src, dst, crossing, kind, sources, targets)
-

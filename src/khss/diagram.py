@@ -197,64 +197,69 @@ def _trace_components(crossings, occurrences, incoming, arc_count):
     return tuple(components)
 
 
-_PD_RE = re.compile(r"PD\[(.*)\]", re.DOTALL)
-_X_RE = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
+_X_RE = re.compile(r"X\((\d+),(\d+),(\d+),(\d+)\)")
 
 
 def parse_pd(text: str) -> PlanarDiagram:
     """Parse PD text: ``PD[X(a,b,c,d),...]`` with optional ``+U`` unknot
-    components and an optional ``@arc=<k>`` basepoint suffix."""
-    stripped = "".join(text.split())
+    components and an optional ``@arc=<k>`` basepoint suffix.
+
+    Whitespace is ignored; a ``ParseError`` position indexes ``text``.
+    """
+    # at[i]: the position in text of the i-th non-space character, and
+    # at[-1] the end of the text
+    at = [i for i, ch in enumerate(text) if not ch.isspace()]
+    stripped = "".join(text[i] for i in at)
+    at.append(len(text))
     if not stripped:
         raise ParseError("empty input", 0)
 
     basepoint = None
-    if "@" in stripped:
-        body, _, anno = stripped.partition("@")
+    body, sep, anno = stripped.partition("@")
+    if sep:
         m = re.fullmatch(r"arc=(\d+)", anno)
         if not m:
             raise ParseError(f"bad basepoint annotation '@{anno}'",
-                             text.index("@"))
+                             at[len(body)])
         basepoint = int(m.group(1))
-        stripped = body
+    if not body:
+        raise ParseError("no diagram content", at[0])
 
     extras = 0
     pd_part = None
-    for piece in stripped.split("+"):
+    start = 0
+    for piece in body.split("+"):
+        pos, start = start, start + len(piece) + 1
         if piece == "U":
             extras += 1
         elif piece.startswith("PD["):
             if pd_part is not None:
-                raise ParseError("multiple PD[...] blocks")
-            pd_part = piece
+                raise ParseError("multiple PD[...] blocks", at[pos])
+            pd_part, pd_pos = piece, pos
         elif piece == "":
-            raise ParseError("empty '+' component")
+            # the '+' after the empty component, or before it at the end
+            raise ParseError("empty '+' component",
+                             at[min(pos, len(body) - 1)])
         else:
-            raise ParseError(f"unrecognized token '{piece[:20]}'",
-                             stripped.index(piece))
+            raise ParseError(f"unrecognized token '{piece[:20]}'", at[pos])
 
     crossings = []
     if pd_part is not None:
-        m = _PD_RE.fullmatch(pd_part)
-        if not m:
-            raise ParseError("expected PD[...]", 0)
-        inner = m.group(1)
-        pos = 0
-        while pos < len(inner):
-            xm = _X_RE.match(inner, pos)
+        end = pd_pos + len(pd_part) - 1  # the closing ']'
+        if body[end] != "]":
+            raise ParseError("expected PD[...]", at[end + 1])
+        pos = pd_pos + 3
+        while True:
+            xm = _X_RE.match(body, pos, end)
             if not xm:
-                raise ParseError("expected X(a,b,c,d)", pos)
+                raise ParseError("expected X(a,b,c,d)", at[pos])
             crossings.append(tuple(int(g) for g in xm.groups()))
             pos = xm.end()
-            if pos < len(inner):
-                if inner[pos] != ",":
-                    raise ParseError("expected ','", pos)
-                pos += 1
-        if not crossings:
-            raise ParseError("PD[] contains no crossings", 0)
-
-    if not crossings and extras == 0:
-        raise ParseError("no diagram content", 0)
+            if pos == end:
+                break
+            if body[pos] != ",":
+                raise ParseError("expected ','", at[pos])
+            pos += 1
     return from_crossings(crossings, extras, basepoint)
 
 
@@ -272,10 +277,6 @@ def render(d: PlanarDiagram) -> str:
         raise StructureError("cannot render crossingless basepoint "
                              "on a diagram with crossings")
     return text
-
-
-def crossing_signs(d: PlanarDiagram) -> list[int]:
-    return list(d.signs)
 
 
 def mirror(d: PlanarDiagram) -> PlanarDiagram:

@@ -54,14 +54,19 @@ class QBlock:
     def h(self) -> list[int]:
         return [g.h for g in self.generators]
 
+    def _rows(self) -> dict[int, int]:
+        """h -> mask of the local rows at that h."""
+        rows: dict[int, int] = {}
+        for i, g in enumerate(self.generators):
+            rows[g.h] = rows.get(g.h, 0) | 1 << i
+        return rows
+
     def jump(self, k: int) -> list[int]:
         """Columns of the jump-k component: each column masked to the
         local rows at its own h plus k."""
-        h = self.h
-        rows: dict[int, int] = {}  # h -> mask of the local rows there
-        for i, hi in enumerate(h):
-            rows[hi] = rows.get(hi, 0) | 1 << i
-        return [col & rows.get(hj + k, 0) for hj, col in zip(h, self.cols)]
+        rows = self._rows()
+        return [col & rows.get(g.h + k, 0)
+                for g, col in zip(self.generators, self.cols)]
 
 
 @dataclass
@@ -85,17 +90,19 @@ class FilteredComplex:
         jump 1 only."""
         out: dict[int, dict[tuple[int, int], int]] = {}
         for b in self.blocks:
-            for k in range(1, b.generators[0].h - b.generators[-1].h + 1):
-                for j, mask in enumerate(b.jump(k)):
-                    if mask:
-                        out.setdefault(k, {})[(b.q, j)] = mask
+            rows, gens = b._rows(), b.generators
+            for j, col in enumerate(b.cols):
+                while col:  # peel off the rows at the lowest h left
+                    h = gens[col.bit_length() - 1].h
+                    out.setdefault(h - gens[j].h, {})[(b.q, j)] = col & rows[h]
+                    col &= ~rows[h]
         return out
 
 
 def generator_gradings(d: PlanarDiagram, res: Resolution,
                        monomial: int, reduced: bool) -> tuple[int, int]:
     """(h, q) of one basis monomial at one vertex."""
-    h = res.weight - d.n_minus
+    h = res.u.bit_count() - d.n_minus
     letters = res.circle_count - 1 if reduced else res.circle_count
     return h, letters - 2 * monomial.bit_count() + h + d.writhe
 

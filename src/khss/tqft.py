@@ -45,15 +45,14 @@ def letter_coproduct(x: int) -> list[tuple[int, int]]:
 def _edge_terms(e: EdgeCobordism, monomials: Iterable[int]):
     """The merge/split rule: for each source monomial, the target
     monomials of its image (never repeated, so their XOR is their
-    union).  Circles the edge does not touch keep their letters."""
-    by_key = {c: j for j, c in enumerate(e.dst.circles)}
+    union).  Circles the edge does not touch keep their letters; they
+    pair up in increasing index order (see ``cube``)."""
+    kept = zip((i for i in range(e.src.circle_count) if i not in e.sources),
+               (j for j in range(e.dst.circle_count) if j not in e.targets))
     # their letters are copied in runs of adjacent bits that stay
     # adjacent: [source bit, target bit, width]
     runs: list[list[int]] = []
-    for i, c in enumerate(e.src.circles):
-        if i in e.sources:
-            continue
-        j = by_key[c]
+    for i, j in kept:
         if runs and i - runs[-1][0] == j - runs[-1][1] == runs[-1][2]:
             runs[-1][2] += 1
         else:

@@ -6,15 +6,25 @@ through the stated generator matrices must equal
 
 from __future__ import annotations
 
-from khss.cube import EdgeCobordism
+from khss.cube import EdgeCobordism, Resolution
 from khss.tqft import Generator, GeneratorWord, evaluate_word
+
+
+def circle_arcs(res: Resolution) -> list[frozenset[int]]:
+    """The arcs of each circle of a resolution, by circle index."""
+    arcs: list[set[int]] = [set() for _ in range(res.circle_count)]
+    for a, c in enumerate(res.labels[1:], start=1):
+        arcs[c].add(a)
+    return [frozenset(c) for c in arcs]
 
 
 def edge_as_generator_word(e: EdgeCobordism) -> GeneratorWord:
     """Express a reduced cube edge as swaps + one saddle generator +
-    swaps, acting between the canonical circle orders."""
+    swaps, acting between the canonical circle orders.  Circles are
+    tracked by their arc sets, not by the order rule of ``cube``."""
     n = e.src.circle_count
-    arrangement = list(e.src.circles)
+    src, dst = circle_arcs(e.src), circle_arcs(e.dst)
+    arrangement = list(src)
     word: list[Generator] = []
 
     def swap_to(key, slot):
@@ -36,32 +46,30 @@ def edge_as_generator_word(e: EdgeCobordism) -> GeneratorWord:
         a, b = e.sources
         (t,) = e.targets
         if a == 0:  # merge involving the marked circle
-            swap_to(e.src.circles[b], 1)
+            swap_to(src[b], 1)
             word.append(Generator("Lam", n))
-            merged = [e.dst.circles[t]]
+            merged = [dst[t]]
             arrangement = merged + arrangement[2:]
         else:
-            swap_to(e.src.circles[a], 1)
-            swap_to(e.src.circles[b], 2)
+            swap_to(src[a], 1)
+            swap_to(src[b], 2)
             word.append(Generator("ILam", n))
-            arrangement = [arrangement[0], e.dst.circles[t]] + arrangement[3:]
+            arrangement = [arrangement[0], dst[t]] + arrangement[3:]
     else:
         (s,) = e.sources
         t1, t2 = e.targets
         if s == 0:  # the marked circle splits
             word.append(Generator("V", n))
-            new_unmarked = e.dst.circles[t2 if t1 == 0 else t1]
-            arrangement = [e.dst.circles[0], new_unmarked] + arrangement[1:]
+            new_unmarked = dst[t2 if t1 == 0 else t1]
+            arrangement = [dst[0], new_unmarked] + arrangement[1:]
         else:
-            swap_to(e.src.circles[s], 1)
+            swap_to(src[s], 1)
             word.append(Generator("IV", n))
-            arrangement = ([arrangement[0], e.dst.circles[t1],
-                            e.dst.circles[t2]] + arrangement[2:])
+            arrangement = [arrangement[0], dst[t1], dst[t2]] + arrangement[2:]
 
     # sort the arrangement into the target's canonical order
-    target = list(e.dst.circles)
-    for slot in range(1, len(target)):
-        swap_to(target[slot], slot)
+    for slot in range(1, len(dst)):
+        swap_to(dst[slot], slot)
     return GeneratorWord(tuple(word))
 
 

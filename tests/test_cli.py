@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,35 @@ def test_invariance_size_cap_exit_3(capsys):
                        "--pd2", TREFOIL, "--max-generators", "4")
     assert code == 3
     assert "generators" in err
+
+
+def test_max_generators_below_one_exit_2(capsys):
+    for cap in ("0", "-5"):
+        code, out, err = run(capsys, "compute", "--pd", TREFOIL,
+                             "--max-generators", cap)
+        assert code == 2
+        assert "--max-generators" in err and not out
+
+
+def test_compute_output_matches_pinned_digests(capsys):
+    # sha256 of each `kh compute` record minus meta, for every corpus
+    # knot in both flavors; a deliberate change of the output writes
+    # the new digests to the file
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "compute_digests.json").read_text())
+    got = {}
+    for line in Path(corpus_path()).read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        name, _, pd = line.partition(",")
+        for flavor in ("reduced", "unreduced"):
+            code, out, _ = run(capsys, "compute", "--pd", pd, f"--{flavor}")
+            assert code == 0
+            record = json.loads(out)
+            del record["meta"]
+            body = json.dumps(record, sort_keys=True).encode()
+            got[f"{name}/{flavor}"] = hashlib.sha256(body).hexdigest()
+    assert got == pinned
 
 
 def test_usage_error_exit_2(capsys):

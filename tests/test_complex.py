@@ -141,9 +141,10 @@ def test_diagonal_map_rejects_bad_path():
         diagonal_map(d, 0b000, 0b011, path=[2])
 
 
-def test_edge_words_match_edge_maps():
-    for text in (TREFOIL, FIGURE_EIGHT):
-        d = parse_pd(text)
+def test_edge_words_match_edge_maps(store):
+    # 5_1 has edges with two circles away from the crossing, so a wrong
+    # pairing of those circles shows
+    for d in (parse_pd(TREFOIL), parse_pd(FIGURE_EIGHT), store.corpus["5_1"]):
         n = len(d.crossings)
         for u in range(1 << n):
             for i in range(n):

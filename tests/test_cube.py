@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import TREFOIL
+from edge_words import circle_arcs
 from global_layout import all_monotone_paths, monotone_path
 from khss.cube import classify_edge, resolve, smoothing_pairings
 from khss.diagram import parse_pd
@@ -26,7 +27,7 @@ def test_trefoil_resolution_circle_counts():
 
 def test_trefoil_zero_resolution_circles():
     d = parse_pd(TREFOIL)
-    circles = {frozenset(c) for c in resolve(d, 0).circles}
+    circles = set(circle_arcs(resolve(d, 0)))
     assert circles == {frozenset({1, 4}), frozenset({2, 5}), frozenset({3, 6})}
 
 
@@ -34,8 +35,8 @@ def test_marked_circle_first():
     d = parse_pd(TREFOIL)
     for u in range(8):
         res = resolve(d, u)
-        assert res.marked_index == 0
-        assert d.basepoint in res.circles[0]
+        assert res.labels[d.basepoint] == 0
+        assert d.basepoint in circle_arcs(res)[0]
 
 
 def test_extras_become_circles():
@@ -101,3 +102,24 @@ def test_corpus_edges_well_formed(store):
                     continue
                 e = classify_edge(d, u, i)
                 assert abs(e.dst.circle_count - e.src.circle_count) == 1
+
+
+def test_untouched_circles_keep_their_order(store):
+    # the pairing rule of the edge maps: circles away from the flipped
+    # crossing are the same arcs, in the same relative order, at both ends
+    for name in store.names(7):
+        d = store.corpus[name]
+        n = len(d.crossings)
+        for u in range(1 << n):
+            for i in range(n):
+                if (u >> i) & 1:
+                    continue
+                e = classify_edge(d, u, i)
+                touched = set(d.crossings[i])
+                src, dst = circle_arcs(e.src), circle_arcs(e.dst)
+                assert [c for c in src if not c & touched] == [
+                    c for c in dst if not c & touched]
+                assert e.sources == tuple(
+                    k for k, c in enumerate(src) if c & touched)
+                assert e.targets == tuple(
+                    k for k, c in enumerate(dst) if c & touched)

@@ -6,7 +6,6 @@ from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
 from khss.diagram import (
     ParseError,
     StructureError,
-    crossing_signs,
     is_alternating,
     load_corpus,
     mirror,
@@ -44,6 +43,27 @@ def test_parse_rejects_garbage():
             parse_pd(bad)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("PD[X(1,4,2,5),X(3,6,4,1),Y(5,2,6,3)]", 25),
+    ("PD[X(1,4,2,5), X(3,6,4,1);X(5,2,6,3)]", 25),
+    (" PD[X(1,4,2,5)] + Q", 18),
+    ("PD[X(1,1,2,2)]+P", 15),
+    ("PD[X(1,2,3)]", 3),
+    ("PD[X(1,1,2,2)] + PD[X(1,1,2,2)]", 17),
+    ("U + + U", 4),
+    ("U +", 2),
+    (" PD[ ] ", 5),
+    ("PD[X(1,1,2,2),]", 14),
+    ("PD[", 3),
+    ("  @arc=2", 2),
+    ("U @arc=x", 2),
+])
+def test_parse_error_positions_index_the_input(text, position):
+    with pytest.raises(ParseError) as exc:
+        parse_pd(text)
+    assert exc.value.position == position
+
+
 def test_arc_count_validation():
     # arc 1 appears once, arc 7 once
     with pytest.raises(StructureError):
@@ -51,12 +71,12 @@ def test_arc_count_validation():
 
 
 def test_signs_left_handed_trefoil():
-    assert crossing_signs(parse_pd(TREFOIL)) == [-1, -1, -1]
+    assert parse_pd(TREFOIL).signs == (-1, -1, -1)
     assert parse_pd(TREFOIL).writhe == -3
 
 
 def test_signs_right_handed_trefoil():
-    assert crossing_signs(parse_pd(TREFOIL_RH)) == [1, 1, 1]
+    assert parse_pd(TREFOIL_RH).signs == (1, 1, 1)
 
 
 def test_figure_eight_balanced():
@@ -75,7 +95,7 @@ def test_mirror_is_involution_and_swaps_signs():
     for text in (TREFOIL, FIGURE_EIGHT, HOPF):
         d = parse_pd(text)
         m = mirror(d)
-        assert crossing_signs(m) == [-s for s in crossing_signs(d)]
+        assert m.signs == tuple(-s for s in d.signs)
         assert render(mirror(m)) == render(d)
 
 
