@@ -318,11 +318,14 @@ def cmd_grading(args) -> int:
 
 # ------------------------------------------------------------------- parsing
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+    return parse
 
 
 def _add_flavor(sub) -> None:
@@ -332,7 +335,7 @@ def _add_flavor(sub) -> None:
 
 
 def _add_cap(sub) -> None:
-    sub.add_argument("--max-generators", type=_positive_int,
+    sub.add_argument("--max-generators", type=_int_at_least(1),
                      default=DEFAULT_GENERATOR_CAP)
 
 
@@ -347,7 +350,7 @@ def make_parser() -> argparse.ArgumentParser:
                           ("ss", "alias of compute")):
         p = subs.add_parser(command, help=text)
         p.add_argument("--pd", required=True, help="PD text or @file")
-        p.add_argument("--max-page", type=int, default=None)
+        p.add_argument("--max-page", type=_int_at_least(2), default=None)
         p.add_argument("--basepoint", type=int, default=None, metavar="ARC")
         p.add_argument("--output", choices=["json", "csv"], default="json")
         p.add_argument("--cache", default=None, metavar="DIR")
@@ -358,7 +361,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("probe", help="collapse-page sweep over a corpus")
     p.add_argument("corpus", help="corpus CSV path")
     p.add_argument("--cache", default=None, metavar="DIR")
-    p.add_argument("--threads", type=_positive_int,
+    p.add_argument("--threads", type=_int_at_least(1),
                    default=os.cpu_count() or 1)
     _add_flavor(p)
     _add_cap(p)

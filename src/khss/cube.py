@@ -11,11 +11,17 @@ canonical: the marked circle is 0, the rest follow by lowest arc.  A
 circle the flipped crossing does not touch has the same arcs at both
 ends of an edge, so those circles keep their relative order, and the
 edge maps pair them up in increasing index order.
+
+An edge is therefore described by its shape alone: merge or split, the
+source's circle count, and the indices of the circles the crossing
+touches at either end.  Its edge map is a function of that shape, so
+edges of the same shape share one map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import PlanarDiagram, StructureError
 
@@ -29,16 +35,13 @@ class Resolution:
     labels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class EdgeCobordism:
-    """A cube edge: crossing flipped 0 -> 1, merge or split."""
+class EdgeCobordism(NamedTuple):
+    """The shape of a cube edge, all that its edge map depends on."""
 
-    src: Resolution
-    dst: Resolution
-    crossing: int
     kind: str  # "merge" | "split"
-    sources: tuple[int, ...]  # circle indices in src
-    targets: tuple[int, ...]  # circle indices in dst
+    circles: int  # circle count of the source
+    sources: tuple[int, ...]  # touched circle indices in the source
+    targets: tuple[int, ...]  # touched circle indices in the target
 
 
 def smoothing_pairings(crossing: tuple[int, int, int, int],
@@ -80,7 +83,7 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
 
 
 def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
-    """Classify the edge flipping ``crossing`` at vertex ``u``."""
+    """The shape of the edge flipping ``crossing`` at vertex ``u``."""
     if (u >> crossing) & 1:
         raise ValueError(f"crossing {crossing} already 1-smoothed")
     return edge_between(d, resolve(d, u), resolve(d, u | (1 << crossing)),
@@ -89,8 +92,8 @@ def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
 
 def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
                  crossing: int) -> EdgeCobordism:
-    """The edge from ``src`` to ``dst``, the resolutions on either side
-    of ``crossing``, checked to be a local merge or split."""
+    """The shape of the edge from ``src`` to ``dst``, the resolutions on
+    either side of ``crossing``, checked to be a local merge or split."""
     arcs = d.crossings[crossing]
     sources = tuple(sorted({src.labels[a] for a in arcs}))
     targets = tuple(sorted({dst.labels[a] for a in arcs}))
@@ -103,4 +106,4 @@ def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
         # count jumps of != 1, or +-1 produced away from the crossing,
         # both mean the PD text has no planar realization
         raise StructureError("cube edge is not a local merge or split")
-    return EdgeCobordism(src, dst, crossing, kind, sources, targets)
+    return EdgeCobordism(kind, src.circle_count, sources, targets)

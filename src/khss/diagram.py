@@ -20,7 +20,7 @@ class ParseError(ValueError):
     """Malformed PD text; carries the offending position."""
 
     def __init__(self, message: str, position: int | None = None):
-        self.position = position
+        self.reason, self.position = message, position
         if position is not None:
             message = f"{message} (at position {position})"
         super().__init__(message)
@@ -423,7 +423,7 @@ def load_corpus(path: str) -> list[tuple[str, PlanarDiagram]]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            name, sep, pd_text = line.partition(",")
+            name, sep, pd_text = raw.partition(",")
             name = name.strip()
             if not sep or not name or not pd_text.strip():
                 raise ParseError(f"line {lineno}: expected 'name,pdcode'")
@@ -433,8 +433,11 @@ def load_corpus(path: str) -> list[tuple[str, PlanarDiagram]]:
                     f"(first defined on line {seen[name]})")
             seen[name] = lineno
             try:
-                diagram = parse_pd(pd_text.strip())
-            except (ParseError, StructureError) as exc:
+                diagram = parse_pd(pd_text.rstrip())
+            except StructureError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
+            except ParseError as exc:  # positions index the raw line
+                raise ParseError(f"line {lineno}: {exc.reason}",
+                                 exc.position + raw.index(",") + 1) from exc
             entries.append((name, diagram))
     return entries

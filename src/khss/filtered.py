@@ -146,9 +146,11 @@ def build(d: PlanarDiagram, reduced: bool = True,
             index[g.vertex][g.monomial] = j
 
     # d = sum of the edge maps: one OR per edge-map entry, since every
-    # entry of d lies on exactly one edge
+    # entry of d lies on exactly one edge; an edge map depends only on
+    # the edge's shape, so each shape's columns are computed once
     edge_fn = (tqft.edge_columns_reduced if reduced
                else tqft.edge_columns_unreduced)
+    shape_columns: dict[cube.EdgeCobordism, list[int]] = {}
     for i in range(n):
         step = 1 << i
         for u in range(1 << n):
@@ -156,8 +158,11 @@ def build(d: PlanarDiagram, reduced: bool = True,
                 continue
             w = u | step
             e = cube.edge_between(d, resolutions[u], resolutions[w], i)
+            edge = shape_columns.get(e)
+            if edge is None:
+                edge = shape_columns[e] = edge_fn(e)
             src, dst, q0, dst_masks = index[u], index[w], top_q[u], q_masks[w]
-            for t, mask in enumerate(edge_fn(e)):
+            for t, mask in enumerate(edge):
                 if not mask:
                     continue
                 q = q0 - 2 * t.bit_count()

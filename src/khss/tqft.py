@@ -47,23 +47,15 @@ def _edge_terms(e: EdgeCobordism, monomials: Iterable[int]):
     monomials of its image (never repeated, so their XOR is their
     union).  Circles the edge does not touch keep their letters; they
     pair up in increasing index order (see ``cube``)."""
-    kept = zip((i for i in range(e.src.circle_count) if i not in e.sources),
-               (j for j in range(e.dst.circle_count) if j not in e.targets))
-    # their letters are copied in runs of adjacent bits that stay
-    # adjacent: [source bit, target bit, width]
-    runs: list[list[int]] = []
-    for i, j in kept:
-        if runs and i - runs[-1][0] == j - runs[-1][1] == runs[-1][2]:
-            runs[-1][2] += 1
-        else:
-            runs.append([i, j, 1])
-    runs = [(i, j, (1 << w) - 1) for i, j, w in runs]
     merge = e.kind == "merge"
     s, t = e.sources, e.targets
+    kept = list(zip(
+        (i for i in range(e.circles) if i not in s),
+        (j for j in range(e.circles + (-1 if merge else 1)) if j not in t)))
     for m in monomials:
         base = 0
-        for i, j, width in runs:
-            base |= ((m >> i) & width) << j
+        for i, j in kept:
+            base |= ((m >> i) & 1) << j
         if merge:
             p = letter_product((m >> s[0]) & 1, (m >> s[1]) & 1)
             yield () if p is None else (base | p << t[0],)
@@ -75,7 +67,7 @@ def _edge_terms(e: EdgeCobordism, monomials: Iterable[int]):
 def edge_columns_unreduced(e: EdgeCobordism) -> list[int]:
     """Column masks of the edge map on V^(tensor circles)."""
     cols = []
-    for terms in _edge_terms(e, range(1 << e.src.circle_count)):
+    for terms in _edge_terms(e, range(1 << e.circles)):
         acc = 0
         for t in terms:
             acc ^= 1 << t
@@ -88,7 +80,7 @@ def edge_columns_reduced(e: EdgeCobordism) -> list[int]:
     the marked circle (bit 0), apply the merge/split rule, delete every
     term carrying v- there and shift the marked bit off."""
     cols = []
-    for terms in _edge_terms(e, range(0, 1 << e.src.circle_count, 2)):
+    for terms in _edge_terms(e, range(0, 1 << e.circles, 2)):
         acc = 0
         for t in terms:
             if not t & 1:
@@ -202,51 +194,24 @@ def _hfl_one(g: Generator, m: int) -> int:
     return 1 << (m & ~bit) if m & bit else 0
 
 
+# the saddle generators as cube edge shapes: (kind, sources, targets)
+_SADDLES = {
+    "V": ("split", (0,), (0, 1)),
+    "Lam": ("merge", (0, 1), (0,)),
+    "IV": ("split", (1,), (1, 2)),
+    "ILam": ("merge", (1, 2), (1,)),
+}
+
+
 def reduced_columns(g: Generator) -> list[int]:
-    """The same generator through the marked-circle quotient of the
-    Frobenius TQFT (computed, not copied), as column masks."""
-    cols = []
-    for m in range(1 << (g.source_size - 1)):
-        cols.append(_reduced_one(g, m))
-    return cols
-
-
-def _reduced_one(g: Generator, m: int) -> int:
-    k = g.kind
-    if k == "V":
-        # comultiply the marked v+; quotient keeps the term with v+ on
-        # the marked child, so the new unmarked factor carries v-.
-        acc = 0
-        for a, b in letter_coproduct(V_PLUS):
-            if a == V_PLUS:
-                acc ^= 1 << ((m << 1) | b)
-        return acc
-    if k == "Lam":
-        # multiply the marked v+ with the first unmarked letter; terms
-        # leaving v- on the marked circle die in the quotient.
-        p = letter_product(V_PLUS, m & 1)
-        return 0 if p == V_MINUS else 1 << (m >> 1)
-    if k == "X":
-        lo, hi = g.i - 2, g.i - 1
-        a, b = (m >> lo) & 1, (m >> hi) & 1
-        sw = m & ~((1 << lo) | (1 << hi)) | (b << lo) | (a << hi)
-        return 1 << sw
-    if k == "IV":
-        rest = (m >> 1) << 2
-        acc = 0
-        for a, b in letter_coproduct(m & 1):
-            acc ^= 1 << (rest | a | (b << 1))
-        return acc
-    if k == "ILam":
-        p = letter_product(m & 1, (m >> 1) & 1)
-        if p is None:
-            return 0
-        return 1 << (((m >> 2) << 1) | p)
-    if k == "Birth":
-        return 1 << (m | (V_PLUS << (g.source_size - 1)))
-    # Death: counit on the last factor, eps(v+) = 0, eps(v-) = 1
-    bit = 1 << (g.source_size - 2)
-    return 1 << (m & ~bit) if m & bit else 0
+    """The same generator through the marked-circle quotient, as column
+    masks.  A saddle is the reduced cube edge map of its shape, the one
+    merge/split rule of the pipeline; a swap, cup or cap involves no
+    saddle and is its stated matrix."""
+    if g.kind not in _SADDLES:
+        return hfl_columns(g)
+    kind, sources, targets = _SADDLES[g.kind]
+    return edge_columns_reduced(EdgeCobordism(kind, g.n, sources, targets))
 
 
 @dataclass(frozen=True)

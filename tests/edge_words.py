@@ -6,7 +6,8 @@ through the stated generator matrices must equal
 
 from __future__ import annotations
 
-from khss.cube import EdgeCobordism, Resolution
+from khss.cube import Resolution, classify_edge, resolve
+from khss.diagram import PlanarDiagram
 from khss.tqft import Generator, GeneratorWord, evaluate_word
 
 
@@ -18,12 +19,16 @@ def circle_arcs(res: Resolution) -> list[frozenset[int]]:
     return [frozenset(c) for c in arcs]
 
 
-def edge_as_generator_word(e: EdgeCobordism) -> GeneratorWord:
-    """Express a reduced cube edge as swaps + one saddle generator +
-    swaps, acting between the canonical circle orders.  Circles are
-    tracked by their arc sets, not by the order rule of ``cube``."""
-    n = e.src.circle_count
-    src, dst = circle_arcs(e.src), circle_arcs(e.dst)
+def edge_as_generator_word(d: PlanarDiagram, u: int,
+                           crossing: int) -> GeneratorWord:
+    """Express the reduced cube edge flipping ``crossing`` at vertex
+    ``u`` as swaps + one saddle generator + swaps, acting between the
+    canonical circle orders.  Circles are tracked by their arc sets, not
+    by the order rule of ``cube``."""
+    e = classify_edge(d, u, crossing)
+    n = e.circles
+    src = circle_arcs(resolve(d, u))
+    dst = circle_arcs(resolve(d, u | 1 << crossing))
     arrangement = list(src)
     word: list[Generator] = []
 
@@ -73,7 +78,7 @@ def edge_as_generator_word(e: EdgeCobordism) -> GeneratorWord:
     return GeneratorWord(tuple(word))
 
 
-def edge_word_columns(e: EdgeCobordism) -> list[int]:
+def edge_word_columns(d: PlanarDiagram, u: int, crossing: int) -> list[int]:
     """Evaluate the generator word of an edge via the stated generator
     matrices (the oracle side of the edge-consistency check)."""
-    return evaluate_word(edge_as_generator_word(e))
+    return evaluate_word(edge_as_generator_word(d, u, crossing))

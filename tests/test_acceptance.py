@@ -92,9 +92,9 @@ def test_criterion_06_edge_word_consistency(store):
             for i in range(n):
                 if (u >> i) & 1:
                     continue
-                e = classify_edge(d, u, i)
-                edge_as_generator_word(e)  # must be expressible
-                ok &= edge_word_columns(e) == edge_columns_reduced(e)
+                edge_as_generator_word(d, u, i)  # must be expressible
+                ok &= (edge_word_columns(d, u, i)
+                       == edge_columns_reduced(classify_edge(d, u, i)))
     report(6, "generator words reproduce every edge map (<= 7 crossings)", ok)
 
 

@@ -148,6 +148,15 @@ def test_ss_alias_max_page(capsys):
     assert set(json.loads(out)["pages"]) == {"2"}
 
 
+def test_max_page_below_two_exit_2(capsys):
+    # stored pages start at 2, so a lower cap would print no page
+    for page in ("1", "0", "-3"):
+        code, out, err = run(capsys, "compute", "--pd", TREFOIL,
+                             "--max-page", page)
+        assert code == 2
+        assert "--max-page" in err and not out
+
+
 def test_invariance_equal_and_unequal(capsys):
     code, out, _ = run(capsys, "invariance", "--pd", TREFOIL,
                        "--pd2", TREFOIL)

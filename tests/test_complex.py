@@ -8,7 +8,7 @@ from conftest import FIGURE_EIGHT, TREFOIL
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, tqft
-from khss.cube import classify_edge
+from khss.cube import classify_edge, resolve
 from khss.diagram import parse_pd, reidemeister2
 from khss.filtered import GradingError, SizeCapError, build, verify_d_squared
 
@@ -68,20 +68,49 @@ def test_q_homogeneity_blockwise():
 
 def test_build_rejects_a_composite_that_changes_q(monkeypatch):
     # mutation control: toggling monomials 0 and 1 of one edge column
-    # (their q differ) leaves a bit of the wrong q in that column
+    # (their q differ) leaves a bit of the wrong q in that column; the
+    # edge maps are per shape, so every edge shaped like the one at
+    # vertex 0, crossing 0 gets the bad bit
     real = tqft.edge_columns_unreduced
+    d = parse_pd(TREFOIL)
+    shape = classify_edge(d, 0, 0)
 
     def corrupted(e):
         cols = real(e)
-        if e.src.u == 0 and e.crossing == 0:
+        if e == shape:
             cols = [cols[0] ^ 0b11, *cols[1:]]
         return cols
 
-    d = parse_pd(TREFOIL)
     build(d, reduced=False)
     monkeypatch.setattr(tqft, "edge_columns_unreduced", corrupted)
     with pytest.raises(GradingError):
         build(d, reduced=False)
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_build_evaluates_each_edge_shape_once(store, monkeypatch, reduced):
+    d = store.corpus["9_1"]
+    n = len(d.crossings)
+    fn = "edge_columns_reduced" if reduced else "edge_columns_unreduced"
+    real, calls = getattr(tqft, fn), []
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(tqft, fn, counted)
+    build(d, reduced)
+    # an edge's shape: merge or split, source circle count, touched
+    # circles at either end
+    shapes = set()
+    for u in range(1 << n):
+        for i in range(n):
+            if not (u >> i) & 1:
+                e = classify_edge(d, u, i)
+                shapes.add((e.kind, resolve(d, u).circle_count,
+                            e.sources, e.targets))
+    assert len(calls) == len(shapes)
+    assert set(calls) == shapes
 
 
 def assert_matches_global_layout(d, reduced):
@@ -150,11 +179,11 @@ def test_edge_words_match_edge_maps(store):
             for i in range(n):
                 if (u >> i) & 1:
                     continue
-                e = classify_edge(d, u, i)
-                word = edge_as_generator_word(e)
-                assert word.source_size == e.src.circle_count
-                assert word.target_size == e.dst.circle_count
-                assert edge_word_columns(e) == tqft.edge_columns_reduced(e)
+                word = edge_as_generator_word(d, u, i)
+                assert word.source_size == resolve(d, u).circle_count
+                assert word.target_size == resolve(d, u | 1 << i).circle_count
+                assert (edge_word_columns(d, u, i)
+                        == tqft.edge_columns_reduced(classify_edge(d, u, i)))
 
 
 def test_bit_flip_breaks_d_squared():

@@ -9,6 +9,7 @@ from pathlib import Path
 import d_oracle
 from conftest import TREFOIL
 from khss import tqft
+from khss.cube import classify_edge
 from khss.diagram import parse_pd
 from khss.filtered import build, verify_d_squared
 
@@ -65,16 +66,18 @@ def test_d_conjugates_to_D_on_the_probe_closures():
 
 def test_a_square_that_does_not_commute_is_caught(monkeypatch):
     # mutation control: drop the entry monomial 0 -> monomial 0 from the
-    # edge at vertex 0, crossing 0 (q is kept), so the squares at that
-    # edge stop commuting; d^2 = 0 and G d = D G must both fail
+    # edges shaped like the one at vertex 0, crossing 0 (q is kept), so
+    # the squares at those edges stop commuting; d^2 = 0 and G d = D G
+    # must both fail
     d = parse_pd(TREFOIL)
+    shape = classify_edge(d, 0, 0)
     for reduced, fn in ((True, "edge_columns_reduced"),
                         (False, "edge_columns_unreduced")):
         real = getattr(tqft, fn)
 
         def corrupted(e, real=real):
             cols = real(e)
-            if e.src.u == 0 and e.crossing == 0:
+            if e == shape:
                 assert cols[0] & 1
                 cols = [cols[0] ^ 1, *cols[1:]]
             return cols

@@ -173,6 +173,14 @@ def test_load_corpus_errors(tmp_path):
         load_corpus(str(bad))
     assert "1" in str(exc.value)  # names the offending line
 
+    # the position indexes the raw line, not the stripped PD field
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("a,  PD[X(1,2,3)]\n")
+    with pytest.raises(ParseError) as exc:
+        load_corpus(str(spaced))
+    assert exc.value.position == 7
+    assert "a,  PD[X(1,2,3)]"[exc.value.position] == "X"
+
     dup = tmp_path / "dup.csv"
     dup.write_text("a,U\na,U\n")
     with pytest.raises(ValueError):
