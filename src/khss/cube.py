@@ -12,6 +12,14 @@ circle the flipped crossing does not touch has the same arcs at both
 ends of an edge, so those circles keep their relative order, and the
 edge maps pair them up in increasing index order.
 
+``walk`` resolves every vertex in one depth-first walk over the
+crossings, crossing 0 deepest, so the vertices come in increasing order.
+Its union-find merges by size and never compresses paths, so each
+crossing's unions are undone exactly on the way back up, and moving to
+the next vertex redoes only the crossings whose bits changed.
+``resolve`` computes one vertex from scratch; both number the circles
+with ``_resolution``.
+
 An edge is therefore described by its shape alone: merge or split, the
 source's circle count, and the indices of the circles the crossing
 touches at either end.  Its edge map is a function of that shape, so
@@ -21,7 +29,7 @@ edges of the same shape share one map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .diagram import PlanarDiagram, StructureError
 
@@ -57,12 +65,22 @@ def smoothing_pairings(crossing: tuple[int, int, int, int],
     return (a, d), (b, c)
 
 
+def _resolution(d: PlanarDiagram, u: int, roots: list[int]) -> Resolution:
+    """Number the circles of vertex ``u`` from the union-find root of
+    every arc: the marked circle is 0, the rest follow by lowest arc."""
+    marked = d.basepoint if d.basepoint is not None else d.arc_count + 1
+    if not 0 < marked < len(roots):
+        raise StructureError("basepoint arc missing from every circle")
+    number = {roots[marked]: 0}  # root -> circle index, new roots in arc order
+    labels = [number.setdefault(r, len(number)) for r in roots[1:]]
+    return Resolution(u, len(number), (-1, *labels))
+
+
 def resolve(d: PlanarDiagram, u: int) -> Resolution:
     """Compute the circle labels of the smoothing ``u`` (bit mask)."""
     if u >> len(d.crossings):
         raise ValueError("smoothing has more bits than crossings")
-    size = d.arc_count + d.unknotted_extras + 1
-    parent = list(range(size))
+    parent = list(range(d.arc_count + d.unknotted_extras + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -73,13 +91,55 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
     for ci, cr in enumerate(d.crossings):
         for x, y in smoothing_pairings(cr, (u >> ci) & 1):
             parent[find(x)] = find(y)
+    return _resolution(d, u, [find(a) for a in range(len(parent))])
 
-    marked = d.basepoint if d.basepoint is not None else d.arc_count + 1
-    if not 0 < marked < size:
-        raise StructureError("basepoint arc missing from every circle")
-    number = {find(marked): 0}  # root -> circle index, new roots in arc order
-    labels = [number.setdefault(find(a), len(number)) for a in range(1, size)]
-    return Resolution(u, len(number), (-1, *labels))
+
+def walk(d: PlanarDiagram) -> Iterator[Resolution]:
+    """The resolution of every vertex, in increasing order of ``u``."""
+    n = len(d.crossings)
+    parent = list(range(d.arc_count + d.unknotted_extras + 1))
+    size = [1] * len(parent)
+    arcs = range(len(parent))
+    pairings = [(smoothing_pairings(cr, 0), smoothing_pairings(cr, 1))
+                for cr in d.crossings]
+    undo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def smooth(i: int, bit: int) -> None:
+        done = undo[i]
+        for x, y in pairings[i][bit]:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                if size[rx] < size[ry]:
+                    rx, ry = ry, rx
+                parent[ry] = rx
+                size[rx] += size[ry]
+                done.append((rx, ry))
+
+    def unsmooth(i: int) -> None:
+        done = undo[i]
+        while done:
+            rx, ry = done.pop()
+            parent[ry] = ry
+            size[rx] -= size[ry]
+
+    for i in reversed(range(n)):
+        smooth(i, 0)
+    for u in range(1 << n):
+        if u:
+            # from u - 1 to u, bit j turns on and the bits below it off;
+            # crossing 0 is deepest, so those crossings are undone first
+            j = (u & -u).bit_length() - 1
+            for i in range(j + 1):
+                unsmooth(i)
+            smooth(j, 1)
+            for i in reversed(range(j)):
+                smooth(i, 0)
+        yield _resolution(d, u, [find(a) for a in arcs])
 
 
 def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
@@ -93,17 +153,21 @@ def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
 def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
                  crossing: int) -> EdgeCobordism:
     """The shape of the edge from ``src`` to ``dst``, the resolutions on
-    either side of ``crossing``, checked to be a local merge or split."""
-    arcs = d.crossings[crossing]
-    sources = tuple(sorted({src.labels[a] for a in arcs}))
-    targets = tuple(sorted({dst.labels[a] for a in arcs}))
+    either side of ``crossing``, checked to be a local merge or split.
+
+    For X(a,b,c,d) the 0-smoothing joins a~b and c~d, so the source
+    circles touched are those of a and c; the 1-smoothing joins a~d and
+    b~c, so the target circles touched are those of a and b."""
+    a, b, c, _ = d.crossings[crossing]
+    s, s2 = src.labels[a], src.labels[c]
+    t, t2 = dst.labels[a], dst.labels[b]
     diff = dst.circle_count - src.circle_count
-    if diff == -1 and len(sources) == 2 and len(targets) == 1:
-        kind = "merge"
-    elif diff == 1 and len(sources) == 1 and len(targets) == 2:
-        kind = "split"
-    else:
-        # count jumps of != 1, or +-1 produced away from the crossing,
-        # both mean the PD text has no planar realization
-        raise StructureError("cube edge is not a local merge or split")
-    return EdgeCobordism(kind, src.circle_count, sources, targets)
+    if diff == -1 and s != s2 and t == t2:
+        return EdgeCobordism("merge", src.circle_count,
+                             (s, s2) if s < s2 else (s2, s), (t,))
+    if diff == 1 and s == s2 and t != t2:
+        return EdgeCobordism("split", src.circle_count, (s,),
+                             (t, t2) if t < t2 else (t2, t))
+    # count jumps of != 1, or +-1 produced away from the crossing, both
+    # mean the PD text has no planar realization
+    raise StructureError("cube edge is not a local merge or split")

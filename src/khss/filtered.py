@@ -12,6 +12,17 @@ differential of local generator j: bit i is its coefficient on local
 generator i of the same block.  The rows of the jump-k part of a column
 at degree h are the contiguous local range at h + k, so the jump-k
 component is the columns masked to those ranges (``QBlock.jump``).
+
+A block lists its vertices by weight, highest first, and each vertex's
+monomials in increasing order.  Monomial m of vertex u has the q of u's
+monomial 0 minus 2|m|, |m| its count of letters x, so u's monomials in
+one block are those with one count k: a contiguous run, increasing, and
+m sits at the run's start plus its rank among the monomials with k
+letters x.  An edge u -> w preserves q, so every target of a source
+monomial t lies in the one run of w with |t| + (1 + L_w - L_u) / 2
+letters x (L the letter count of a vertex).  In rank coordinates the
+image of t depends only on the edge's shape, and writing it into the
+block is one shift by the start of that run.
 """
 
 from __future__ import annotations
@@ -107,6 +118,18 @@ def generator_gradings(d: PlanarDiagram, res: Resolution,
     return h, letters - 2 * monomial.bit_count() + h + d.writhe
 
 
+def _letter_runs(letters: int) -> tuple[list[list[int]], list[int]]:
+    """The monomials in ``letters`` letters grouped by how many are x,
+    each group increasing, and the rank of every monomial in its group."""
+    runs: list[list[int]] = [[] for _ in range(letters + 1)]
+    rank = []
+    for m in range(1 << letters):
+        run = runs[m.bit_count()]
+        rank.append(len(run))
+        run.append(m)
+    return runs, rank
+
+
 def build(d: PlanarDiagram, reduced: bool = True,
           max_generators: int = DEFAULT_GENERATOR_CAP) -> FilteredComplex:
     """Assemble the filtered complex of a diagram."""
@@ -116,41 +139,70 @@ def build(d: PlanarDiagram, reduced: bool = True,
     drop = 1 if reduced else 0
     # every vertex has a generator, so the running count reaches a cap
     # below 2^n before the whole cube is resolved
-    resolutions, dims, total = [], [], 0
-    for u in range(1 << n):
-        resolutions.append(cube.resolve(d, u))
-        dims.append(1 << (resolutions[u].circle_count - drop))
-        total += dims[u]
+    resolutions, total = [], 0
+    for res in cube.walk(d):
+        resolutions.append(res)
+        total += 1 << (res.circle_count - drop)
         if total > max_generators:
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")
 
     # vertices of larger weight first puts each block's h highest first;
-    # per vertex, the q of monomial 0 (each letter x lowers q by 2) and
-    # q -> the mask of its monomials
+    # base[u][k] is where the run of u's monomials with k letters x
+    # starts in its block, run_cols[u][k] that block's columns
+    by_letters: dict[int, tuple[list[list[int]], list[int]]] = {}
     by_q: dict[int, list[KhGenerator]] = {}
     top_q = [0] * (1 << n)
-    q_masks: list[dict[int, int]] = [{} for _ in dims]
+    base: list[list[int]] = [[] for _ in resolutions]
     for u in sorted(range(1 << n), key=lambda u: -u.bit_count()):
-        masks = q_masks[u]
-        h, top_q[u] = generator_gradings(d, resolutions[u], 0, reduced)
-        for m in range(dims[u]):
-            q = top_q[u] - 2 * m.bit_count()
-            by_q.setdefault(q, []).append(KhGenerator(u, m, h, q))
-            masks[q] = masks.get(q, 0) | 1 << m
+        res = resolutions[u]
+        letters = res.circle_count - drop
+        if letters not in by_letters:
+            by_letters[letters] = _letter_runs(letters)
+        h, top_q[u] = generator_gradings(d, res, 0, reduced)
+        for k, run in enumerate(by_letters[letters][0]):
+            q = top_q[u] - 2 * k
+            gens = by_q.setdefault(q, [])
+            base[u].append(len(gens))
+            gens.extend(KhGenerator(u, m, h, q) for m in run)
     blocks = [QBlock(q, by_q[q], [0] * len(by_q[q])) for q in sorted(by_q)]
     cols = {b.q: b.cols for b in blocks}
-    index = [[0] * dim for dim in dims]  # local index of monomial m of u
-    for b in blocks:
-        for j, g in enumerate(b.generators):
-            index[g.vertex][g.monomial] = j
+    run_cols = [[cols[top_q[u] - 2 * k] for k in range(len(base[u]))]
+                for u in range(1 << n)]
 
-    # d = sum of the edge maps: one OR per edge-map entry, since every
-    # entry of d lies on exactly one edge; an edge map depends only on
-    # the edge's shape, so each shape's columns are computed once
     edge_fn = (tqft.edge_columns_reduced if reduced
                else tqft.edge_columns_unreduced)
-    shape_columns: dict[cube.EdgeCobordism, list[int]] = {}
+
+    def shape_terms(e: cube.EdgeCobordism, u: int, i: int):
+        """(k, rank of t, k', target ranks as a mask) per source
+        monomial t with k letters x.  q is preserved iff every target
+        has k' = k + (1 + L_w - L_u) / 2 letters x, which depends on the
+        shape alone, so checking it here checks every edge of it."""
+        src_letters = e.circles - drop
+        dst_letters = src_letters + (1 if e.kind == "split" else -1)
+        shift = (1 + dst_letters - src_letters) // 2
+        src_rank = by_letters[src_letters][1]
+        dst_rank = by_letters[dst_letters][1]
+        terms = []
+        for t, mask in enumerate(edge_fn(e)):
+            if not mask:
+                continue
+            k = t.bit_count()
+            acc = 0
+            while mask:
+                s = mask.bit_length() - 1
+                if s >> dst_letters or s.bit_count() != k + shift:
+                    raise GradingError(
+                        f"edge from vertex {u} at crossing {i} does not "
+                        f"preserve q on monomial {t}")
+                acc |= 1 << dst_rank[s]
+                mask ^= 1 << s
+            terms.append((k, src_rank[t], k + shift, acc))
+        return terms
+
+    # d = sum of the edge maps: one OR per source monomial of each edge,
+    # since every entry of d lies on exactly one edge
+    shapes: dict[cube.EdgeCobordism, list[tuple[int, int, int, int]]] = {}
     for i in range(n):
         step = 1 << i
         for u in range(1 << n):
@@ -158,24 +210,12 @@ def build(d: PlanarDiagram, reduced: bool = True,
                 continue
             w = u | step
             e = cube.edge_between(d, resolutions[u], resolutions[w], i)
-            edge = shape_columns.get(e)
-            if edge is None:
-                edge = shape_columns[e] = edge_fn(e)
-            src, dst, q0, dst_masks = index[u], index[w], top_q[u], q_masks[w]
-            for t, mask in enumerate(edge):
-                if not mask:
-                    continue
-                q = q0 - 2 * t.bit_count()
-                if mask & ~dst_masks.get(q, 0):
-                    raise GradingError(
-                        f"edge from vertex {u} at crossing {i} does not "
-                        f"preserve q on monomial {t}")
-                acc = 0
-                while mask:
-                    s = mask.bit_length() - 1
-                    acc |= 1 << dst[s]
-                    mask ^= 1 << s
-                cols[q][src[t]] |= acc
+            terms = shapes.get(e)
+            if terms is None:
+                terms = shapes[e] = shape_terms(e, u, i)
+            src_cols, src_base, dst_base = run_cols[u], base[u], base[w]
+            for k, r, k2, mask in terms:
+                src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
     return FilteredComplex(blocks)
 
 

@@ -1,6 +1,8 @@
-import pytest
-
+import sys
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 import d_oracle
 from khss import build, compute, load_corpus
@@ -9,10 +11,26 @@ TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 TREFOIL_RH = "PD[X(4,2,5,1),X(6,4,1,3),X(2,6,3,5)]"
 FIGURE_EIGHT = "PD[X(4,2,5,1),X(8,6,1,5),X(6,3,7,4),X(2,7,3,8)]"
 HOPF = "PD[X(1,3,2,4),X(3,1,4,2)]"
+# these parse, but a cube edge of each is not a local merge or split
+NOT_LOCAL = ["PD[X(2,1,1,4),X(3,2,3,4)]", "PD[X(3,1,3,4),X(4,1,2,2)]",
+             "PD[X(3,2,2,1),X(4,3,4,1)]"]
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def corpus_path() -> str:
     return str(resources.files("khss") / "data" / "knots.csv")
+
+
+def probe_closures() -> list[str]:
+    """PD texts of the closures of the benchmark's probe workload, seed 1."""
+    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
+    try:
+        import inputs
+    finally:
+        del sys.path[:2]
+    return [case.pd for case in inputs.braid_cases(inputs.PROBE_MIX, 1,
+                                                   "probe")]
 
 
 class Store:

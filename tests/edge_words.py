@@ -1,13 +1,15 @@
 """Cube edges as words in the unlink cobordism generators: the oracle
 side of the edge-consistency checks.  A reduced edge map evaluated
 through the stated generator matrices must equal
-``tqft.edge_columns_reduced``.
+``tqft.edge_columns_reduced``.  Also the shape of an edge from the
+circles of all four arcs of its crossing, the oracle of
+``cube.edge_between``.
 """
 
 from __future__ import annotations
 
-from khss.cube import Resolution, classify_edge, resolve
-from khss.diagram import PlanarDiagram
+from khss.cube import EdgeCobordism, Resolution, classify_edge, resolve
+from khss.diagram import PlanarDiagram, StructureError
 from khss.tqft import Generator, GeneratorWord, evaluate_word
 
 
@@ -17,6 +19,23 @@ def circle_arcs(res: Resolution) -> list[frozenset[int]]:
     for a, c in enumerate(res.labels[1:], start=1):
         arcs[c].add(a)
     return [frozenset(c) for c in arcs]
+
+
+def edge_shape_by_sets(d: PlanarDiagram, src: Resolution, dst: Resolution,
+                       crossing: int) -> EdgeCobordism:
+    """The shape of the edge from ``src`` to ``dst``: the circles of the
+    crossing's four arcs at either end, as sorted sets."""
+    arcs = d.crossings[crossing]
+    sources = tuple(sorted({src.labels[a] for a in arcs}))
+    targets = tuple(sorted({dst.labels[a] for a in arcs}))
+    diff = dst.circle_count - src.circle_count
+    if diff == -1 and len(sources) == 2 and len(targets) == 1:
+        kind = "merge"
+    elif diff == 1 and len(sources) == 1 and len(targets) == 2:
+        kind = "split"
+    else:
+        raise StructureError("cube edge is not a local merge or split")
+    return EdgeCobordism(kind, src.circle_count, sources, targets)
 
 
 def edge_as_generator_word(d: PlanarDiagram, u: int,

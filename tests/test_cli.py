@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIGURE_EIGHT, TREFOIL, corpus_path
+from conftest import FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path
 from khss.cli import main
 from khss.diagram import parse_pd
 
@@ -57,6 +57,10 @@ def test_compute_nonplanar_diagram_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--pd", NONPLANAR)
     assert code == 2
     assert "invalid diagram" in err
+    for pd in NOT_LOCAL:
+        code, _, err = run(capsys, "compute", "--pd", pd)
+        assert code == 2
+        assert "invalid diagram: cube edge is not a local merge" in err
 
 
 def test_sweep_nonplanar_diagram_exit_2(capsys):

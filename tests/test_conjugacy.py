@@ -3,17 +3,12 @@ conjugate as filtered complexes: G d = D G for the conjugator of
 ``d_oracle``, so every page r >= 2 of the spectral sequence equals E_2.
 """
 
-import sys
-from pathlib import Path
-
 import d_oracle
-from conftest import TREFOIL
+from conftest import TREFOIL, probe_closures
 from khss import tqft
 from khss.cube import classify_edge
 from khss.diagram import parse_pd
 from khss.filtered import build, verify_d_squared
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def identity_conjugates(c, composite) -> bool:
@@ -42,17 +37,6 @@ def test_d_conjugates_to_D_at_every_basepoint(store):
                 assert d_oracle.conjugate(build(moved, reduced),
                                           d_oracle.build(moved, reduced),
                                           len(d.crossings))
-
-
-def probe_closures() -> list[str]:
-    """PD texts of the closures of the benchmark's probe workload, seed 1."""
-    sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
-    try:
-        import inputs
-    finally:
-        del sys.path[:2]
-    return [case.pd for case in inputs.braid_cases(inputs.PROBE_MIX, 1,
-                                                   "probe")]
 
 
 def test_d_conjugates_to_D_on_the_probe_closures():

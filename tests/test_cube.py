@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
-from conftest import TREFOIL
-from edge_words import circle_arcs
+from conftest import NOT_LOCAL, TREFOIL, probe_closures
+from edge_words import circle_arcs, edge_shape_by_sets
 from global_layout import all_monotone_paths, monotone_path
-from khss.cube import classify_edge, resolve, smoothing_pairings
-from khss.diagram import parse_pd
+from khss.cube import (classify_edge, edge_between, resolve,
+                       smoothing_pairings, walk)
+from khss.diagram import StructureError, parse_pd
+from khss.filtered import build
 
 
 def test_smoothing_pairings():
@@ -43,6 +45,43 @@ def test_extras_become_circles():
     d = parse_pd("U + U")
     res = resolve(d, 0)
     assert res.circle_count == 2
+
+
+def test_walk_matches_resolve(store):
+    # the mark on a crossing arc, or on a crossingless component (the
+    # arc past arc_count), with one or two crossingless components
+    diagrams = [store.corpus[name] for name in store.names()]
+    for name in store.names(5):
+        d = store.corpus[name]
+        diagrams += [d.with_basepoint(arc) for arc in range(1, d.arc_count + 1)]
+    diagrams += [parse_pd(pd) for pd in probe_closures()]
+    for text in (TREFOIL + "+U", TREFOIL + "+U+U"):
+        d = parse_pd(text)
+        diagrams += [d, d.with_basepoint(None)]
+    for d in diagrams:
+        assert list(walk(d)) == [resolve(d, u)
+                                 for u in range(1 << len(d.crossings))]
+
+
+def test_edge_between_matches_the_arc_set_formula(store):
+    for name in store.names(7):
+        d = store.corpus[name]
+        n = len(d.crossings)
+        res = list(walk(d))
+        for u in range(1 << n):
+            for i in range(n):
+                if not (u >> i) & 1:
+                    src, dst = res[u], res[u | 1 << i]
+                    assert (edge_between(d, src, dst, i)
+                            == edge_shape_by_sets(d, src, dst, i))
+
+
+def test_an_edge_that_is_not_a_local_merge_or_split_is_rejected():
+    for text in NOT_LOCAL:
+        d = parse_pd(text)
+        for reduced in (True, False):
+            with pytest.raises(StructureError, match="not a local merge"):
+                build(d, reduced)
 
 
 def test_classify_edges_change_circles_by_one():
