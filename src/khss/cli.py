@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import random
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import __version__
@@ -155,30 +156,90 @@ def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
         raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
 
 
-def _computed(d: PlanarDiagram, args, name: str = "") -> dict:
+def _cache_dir(args) -> Path | None:
+    """The command's cache directory, created; None when caching is off."""
     cdir = cache_dir_from(args)
-    reduced = args.reduced
     if cdir is not None:
         try:
             cdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot use cache directory {cdir}: {exc}")
-        hit = cache_load(cdir, d, reduced)
-        if hit is not None:
-            return hit
+    return cdir
+
+
+def _record(d: PlanarDiagram, reduced: bool, max_generators: int,
+            name: str = "") -> dict:
+    """The run record of one diagram: build, d^2 check, pages."""
     t0 = time.perf_counter()
-    c = _build(d, reduced, args.max_generators)
+    c = _build(d, reduced, max_generators)
     if not verify_d_squared(c):
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)
     result = compute(c)
-    record = run_record(d, reduced, result, name, time.perf_counter() - t0)
-    if cdir is not None:
-        try:
-            cache_store(record, cdir, d, reduced)
-        except OSError as exc:  # the record stands without its cache entry
-            print(f"warning: cache entry not written: {exc}", file=sys.stderr)
-    return record
+    return run_record(d, reduced, result, name, time.perf_counter() - t0)
+
+
+def _item_record(item: tuple[str, PlanarDiagram], reduced: bool,
+                 max_generators: int) -> dict:
+    """``_record`` of one (name, diagram) corpus row; module-level so a
+    worker process can unpickle it."""
+    name, d = item
+    return _record(d, reduced, max_generators, name)
+
+
+def _store(record: dict, cdir: Path, d: PlanarDiagram, reduced: bool) -> None:
+    try:
+        cache_store(record, cdir, d, reduced)
+    except OSError as exc:  # the record stands without its cache entry
+        print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+
+
+def _pool(workers: int):
+    """A pool of ``workers`` processes, forked while this process runs no
+    other thread: a forked worker starts with khss imported, where a
+    spawned one imports it afresh.  A thread may hold a lock at the
+    moment of a fork, so spawn then.  The imports are made here: they
+    take about 20 ms, a quarter of importing this module, which every
+    ``kh`` command would pay."""
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    fork = (threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods())
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork" if fork else "spawn"))
+
+
+def _records(items: list[tuple[str, PlanarDiagram]], args,
+             workers: int = 1) -> list[dict]:
+    """Run records of (name, diagram) items, in order.  Cache hits are
+    read and fresh records written in this process; the misses are
+    computed in up to ``workers`` worker processes, never more than the
+    CPU count, and in this process when that count is one."""
+    cdir = _cache_dir(args)
+    records = [None if cdir is None else cache_load(cdir, d, args.reduced)
+               for _, d in items]
+    misses = [i for i, record in enumerate(records) if record is None]
+    work = functools.partial(_item_record, reduced=args.reduced,
+                             max_generators=args.max_generators)
+    todo = [items[i] for i in misses]
+    workers = min(workers, len(misses), os.cpu_count() or 1)
+    pool = _pool(workers) if workers > 1 else None
+    try:
+        fresh = map(work, todo) if pool is None else pool.map(work, todo)
+        for i, record in zip(misses, fresh):
+            records[i] = record
+            if cdir is not None:
+                _store(record, cdir, items[i][1], args.reduced)
+    except BrokenExecutor as exc:
+        raise CliError(f"internal error: a worker process died: {exc}",
+                       EXIT_INTERNAL)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return records
 
 
 # --------------------------------------------------------------- subcommands
@@ -190,7 +251,7 @@ def cmd_compute(args) -> int:
             d = d.with_basepoint(args.basepoint)
         except StructureError as exc:
             raise CliError(f"invalid diagram: {exc}")
-    record = _computed(d, args)
+    record = _records([("", d)], args)[0]
     if args.max_page is not None:
         record["pages"] = {r: v for r, v in record["pages"].items()
                            if int(r) <= args.max_page}
@@ -208,27 +269,18 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-def _probe_row(item, args):
-    name, d = item
-    record = _computed(d, args, name)
-    note = "NONCOLLAPSE" if record["collapse_page"] > 2 else ""
-    return [name, record["flavor"], str(record["collapse_page"]),
-            "yes" if is_alternating(d) else "no", note]
-
-
 def cmd_probe(args) -> int:
     try:
         corpus = load_corpus(args.corpus)
     except (OSError, ParseError, StructureError, ValueError) as exc:
         raise CliError(f"cannot load corpus: {exc}")
-    rows = []
-    if corpus:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(lambda it: _probe_row(it, args), corpus))
+    records = _records(corpus, args, args.threads)
     w = csv.writer(sys.stdout)
     w.writerow(["name", "flavor", "collapse_page", "alternating", "flag"])
-    for row in rows:
-        w.writerow(row)
+    for (name, d), record in zip(corpus, records):
+        note = "NONCOLLAPSE" if record["collapse_page"] > 2 else ""
+        w.writerow([name, record["flavor"], str(record["collapse_page"]),
+                    "yes" if is_alternating(d) else "no", note])
     return EXIT_OK
 
 
@@ -362,7 +414,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="corpus CSV path")
     p.add_argument("--cache", default=None, metavar="DIR")
     p.add_argument("--threads", type=_int_at_least(1),
-                   default=os.cpu_count() or 1)
+                   default=os.cpu_count() or 1,
+                   help="worker processes for the cache misses, at most "
+                        "the CPU count (default: the CPU count)")
     _add_flavor(p)
     _add_cap(p)
     p.set_defaults(fn=cmd_probe)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ParseError(ValueError):
@@ -48,15 +49,16 @@ class PlanarDiagram:
     components: tuple[tuple[int, ...], ...]
     incoming: tuple[int, ...] = field(repr=False, default=())
 
-    @property
+    # cached: ``filtered.build`` reads n_minus and writhe once per vertex
+    @cached_property
     def n_plus(self) -> int:
         return sum(1 for s in self.signs if s > 0)
 
-    @property
+    @cached_property
     def n_minus(self) -> int:
         return sum(1 for s in self.signs if s < 0)
 
-    @property
+    @cached_property
     def writhe(self) -> int:
         return self.n_plus - self.n_minus
 

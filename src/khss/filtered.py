@@ -28,6 +28,7 @@ block is one shift by the start of that run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import cube, tqft
 from .cube import Resolution
@@ -44,8 +45,7 @@ class GradingError(RuntimeError):
     """Internal error: an edge map does not preserve the quantum degree."""
 
 
-@dataclass(frozen=True)
-class KhGenerator:
+class KhGenerator(NamedTuple):
     vertex: int     # cube vertex bit mask
     monomial: int   # letter bits over the vertex's canonical circles
     h: int

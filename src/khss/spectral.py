@@ -181,8 +181,10 @@ def total_homology(c: FilteredComplex) -> dict[int, int]:
 
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment."""
-    p_values = [g.h for g in c.generators]
-    length = (max(p_values) - min(p_values)) if p_values else 0
+    # a block's generators are ordered by h, highest first
+    tops = [b.generators[0].h for b in c.blocks if b.generators]
+    bottoms = [b.generators[-1].h for b in c.blocks if b.generators]
+    length = max(tops) - min(bottoms) if tops else 0
     r_max = max(2, length + 2)  # no differential has jump > length
     barcodes = _barcodes(c)
     pages = tuple(_page(barcodes, r) for r in range(2, r_max + 1))

@@ -1,10 +1,20 @@
+import concurrent.futures
+import contextlib
+import functools
 import hashlib
 import json
+import multiprocessing
+import os
+import pickle
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from conftest import FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path
+from conftest import (FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path,
+                      probe_closures)
+from khss import cli
 from khss.cli import main
 from khss.diagram import parse_pd
 
@@ -218,6 +228,148 @@ def test_probe_malformed_corpus_names_line(capsys, tmp_path):
 
 def test_probe_missing_file(capsys):
     assert run(capsys, "probe", "/no/such/corpus.csv")[0] == 2
+
+
+@pytest.fixture
+def mixed_corpus(tmp_path):
+    """The unknot, the trefoil and two benchmark probe closures."""
+    path = tmp_path / "mixed.csv"
+    closures = probe_closures()[:2]
+    path.write_text(f"unknot,U\ntrefoil,{TREFOIL}\n"
+                    + "".join(f"b{i},{pd}\n" for i, pd in enumerate(closures)))
+    return path
+
+
+def test_probe_output_same_for_one_and_two_workers(capsys, tmp_path,
+                                                   mixed_corpus):
+    outs, names = {}, {}
+    for threads in ("1", "2"):
+        cache = tmp_path / f"cache{threads}"
+        for phase in ("cold", "warm"):
+            code, out, err = run(capsys, "probe", str(mixed_corpus),
+                                 "--threads", threads, "--cache", str(cache))
+            assert code == 0 and err == ""
+            outs[threads, phase] = out
+            names[threads, phase] = sorted(p.name for p in cache.iterdir())
+    assert len(outs["1", "cold"].splitlines()) == 5
+    assert len(set(outs.values())) == 1
+    assert len({tuple(n) for n in names.values()}) == 1
+    assert len(names["1", "cold"]) == 4
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records what it was asked for
+    and runs the work in this process."""
+
+    def __init__(self, created, max_workers, mp_context):
+        created.append((max_workers, mp_context.get_start_method()))
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@contextlib.contextmanager
+def another_thread():
+    """A second thread, waiting, for the duration of the block."""
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_probe_asks_for_at_most_cpu_count_workers(capsys, monkeypatch):
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(RecordingPool, created))
+    code, out, _ = run(capsys, "probe", corpus_path(), "--threads", "64")
+    assert code == 0 and len(out.splitlines()) == 10
+    workers = min(9, os.cpu_count() or 1)  # nine rows, all cache misses
+    assert [w for w, _ in created] == ([workers] if workers > 1 else [])
+
+
+def test_probe_warm_pass_starts_no_pool(capsys, monkeypatch, tmp_path):
+    cache = str(tmp_path / "cache")
+    cold = run(capsys, "probe", corpus_path(), "--cache", cache)
+    monkeypatch.setattr(cli, "_pool", None)  # calling it fails
+    assert run(capsys, "probe", corpus_path(), "--cache", cache) == cold
+
+
+def test_probe_workers_fork_only_without_other_threads(capsys, monkeypatch,
+                                                       tmp_path):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    created = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(RecordingPool, created))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # RecordingPool forks none
+    run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "a"))
+    with another_thread():
+        run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "b"))
+    assert created == [(2, "fork"), (2, "spawn")]
+
+
+def test_probe_spawned_workers_give_the_same_rows(capsys, mixed_corpus):
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: the rows are computed in this process")
+    one = run(capsys, "probe", str(mixed_corpus), "--threads", "1")
+    with another_thread():  # so the workers are spawned
+        two = run(capsys, "probe", str(mixed_corpus), "--threads", "2")
+    assert two == one
+
+
+def test_probe_size_cap_in_a_worker_exit_3(capsys):
+    error = pickle.loads(pickle.dumps(cli.CliError("cap", cli.EXIT_SIZE)))
+    assert error.code == cli.EXIT_SIZE  # what a worker's error carries back
+    code, out, err = run(capsys, "probe", corpus_path(),
+                         "--max-generators", "50", "--threads", "2")
+    assert code == 3
+    assert out == ""
+    assert "50 generators" in err
+
+
+def test_probe_dead_worker_exit_1(capsys, monkeypatch):
+    class DyingPool(RecordingPool):
+        def map(self, fn, items):
+            raise BrokenProcessPool("killed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(DyingPool, []))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # DyingPool forks none
+    code, out, err = run(capsys, "probe", corpus_path(), "--threads", "2")
+    assert code == 1 and out == ""
+    assert "worker process died" in err
+
+
+def test_probe_corrupt_entries_warn_here_and_are_recomputed(capsys, tmp_path,
+                                                           mixed_corpus):
+    cache = tmp_path / "cache"
+    argv = ("probe", str(mixed_corpus), "--threads", "2", "--cache",
+            str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    entries = sorted(cache.glob("*.json"))
+    saved = {p: p.read_text() for p in entries}
+    for entry in entries[:2]:  # two misses, so two workers when there are CPUs
+        data = json.loads(entry.read_text())
+        data["record"]["collapse_page"] = 99
+        entry.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == fresh
+    assert err.count("warning: ignoring corrupt cache entry") == 2
+    for entry in entries[:2]:
+        record = json.loads(entry.read_text())["record"]
+        assert record["collapse_page"] == 2
+        del record["meta"]
+        old = json.loads(saved[entry])["record"]
+        del old["meta"]
+        assert record == old
 
 
 def test_cache_roundtrip(tmp_path, capsys):
