@@ -212,12 +212,20 @@ def _pool(workers: int):
         mp_context=multiprocessing.get_context("fork" if fork else "spawn"))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _records(items: list[tuple[str, PlanarDiagram]], args,
              workers: int = 1) -> list[dict]:
     """Run records of (name, diagram) items, in order.  Cache hits are
     read and fresh records written in this process; the misses are
     computed in up to ``workers`` worker processes, never more than the
-    CPU count, and in this process when that count is one."""
+    CPUs this process may use, and in this process when that is one."""
     cdir = _cache_dir(args)
     records = [None if cdir is None else cache_load(cdir, d, args.reduced)
                for _, d in items]
@@ -225,7 +233,7 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
     work = functools.partial(_item_record, reduced=args.reduced,
                              max_generators=args.max_generators)
     todo = [items[i] for i in misses]
-    workers = min(workers, len(misses), os.cpu_count() or 1)
+    workers = min(workers, len(misses), _cpus())
     pool = _pool(workers) if workers > 1 else None
     try:
         fresh = map(work, todo) if pool is None else pool.map(work, todo)
@@ -340,12 +348,9 @@ def cmd_tqft_check(args) -> int:
         raise CliError("--count must be at least 1")
     rng = random.Random(args.seed)
     failures = []
-    for k in range(args.count):
+    for _ in range(args.count):
         word = random_word(rng)
-        if args.corrupt and k == args.count // 2:
-            report = check_triangle(word, corrupt=True)
-        else:
-            report = check_triangle(word)
+        report = check_triangle(word)
         if not report.ok:
             failures.append((word, report.detail))
     print(f"checked {args.count} words, {len(failures)} failures")
@@ -413,10 +418,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("probe", help="collapse-page sweep over a corpus")
     p.add_argument("corpus", help="corpus CSV path")
     p.add_argument("--cache", default=None, metavar="DIR")
-    p.add_argument("--threads", type=_int_at_least(1),
-                   default=os.cpu_count() or 1,
+    p.add_argument("--threads", type=_int_at_least(1), default=_cpus(),
                    help="worker processes for the cache misses, at most "
-                        "the CPU count (default: the CPU count)")
+                        "the usable CPUs (default: the usable CPUs)")
     _add_flavor(p)
     _add_cap(p)
     p.set_defaults(fn=cmd_probe)
@@ -437,8 +441,6 @@ def make_parser() -> argparse.ArgumentParser:
                         help="random-word equality of the two TQFTs")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true",
-                   help=argparse.SUPPRESS)  # test hook
     p.set_defaults(fn=cmd_tqft_check)
 
     p = subs.add_parser("grading", help="grading shift of a cobordism word")

@@ -1,4 +1,11 @@
-"""The (reduced or unreduced) filtered complex of a marked diagram.
+"""The reduced filtered complex of a marked diagram, and the unreduced
+one as a reduced complex.
+
+The unreduced complex of L is the reduced complex of L with one more
+crossingless component U, marked on U (Khovanov, "Patterns in knot
+cohomology I", 2003; Shumakovitch, arXiv:math/0405474): no edge touches
+U, so on the other circles the reduced edge rule is the unreduced one.
+``build`` assembles both flavors on the one reduced path.
 
 Generators are graded by (homological degree h, quantum degree q).  The
 differential d is the sum of the edge maps over every cube edge, and
@@ -9,9 +16,7 @@ Every edge map preserves q, so the complex is stored as one ``QBlock``
 per quantum degree, with block-local indices.  Inside a block the
 generators are ordered by h, highest first, and ``cols[j]`` is the
 differential of local generator j: bit i is its coefficient on local
-generator i of the same block.  The rows of the jump-k part of a column
-at degree h are the contiguous local range at h + k, so the jump-k
-component is the columns masked to those ranges (``QBlock.jump``).
+generator i of the same block.
 
 A block lists its vertices by weight, highest first, and each vertex's
 monomials in increasing order.  Monomial m of vertex u has the q of u's
@@ -27,7 +32,7 @@ block is one shift by the start of that run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import cube, tqft
@@ -72,13 +77,6 @@ class QBlock:
             rows[g.h] = rows.get(g.h, 0) | 1 << i
         return rows
 
-    def jump(self, k: int) -> list[int]:
-        """Columns of the jump-k component: each column masked to the
-        local rows at its own h plus k."""
-        rows = self._rows()
-        return [col & rows.get(g.h + k, 0)
-                for g, col in zip(self.generators, self.cols)]
-
 
 @dataclass
 class FilteredComplex:
@@ -111,11 +109,21 @@ class FilteredComplex:
 
 
 def generator_gradings(d: PlanarDiagram, res: Resolution,
-                       monomial: int, reduced: bool) -> tuple[int, int]:
-    """(h, q) of one basis monomial at one vertex."""
+                       monomial: int) -> tuple[int, int]:
+    """(h, q) of one basis monomial at one vertex of the reduced complex."""
     h = res.u.bit_count() - d.n_minus
-    letters = res.circle_count - 1 if reduced else res.circle_count
-    return h, letters - 2 * monomial.bit_count() + h + d.writhe
+    return h, res.circle_count - 1 - 2 * monomial.bit_count() + h + d.writhe
+
+
+def marked_diagram(d: PlanarDiagram, reduced: bool) -> PlanarDiagram:
+    """The diagram whose reduced complex is the complex of ``d`` in the
+    given flavor: ``d`` itself, or ``d`` with one more crossingless
+    component, marked.  Its circle 0 is that component, and the others
+    follow by lowest arc.  ``render`` refuses it when ``d`` has
+    crossings, so records and cache keys are made from ``d``."""
+    if reduced:
+        return d
+    return replace(d, basepoint=None, unknotted_extras=d.unknotted_extras + 1)
 
 
 def _letter_runs(letters: int) -> tuple[list[list[int]], list[int]]:
@@ -132,17 +140,16 @@ def _letter_runs(letters: int) -> tuple[list[list[int]], list[int]]:
 
 def build(d: PlanarDiagram, reduced: bool = True,
           max_generators: int = DEFAULT_GENERATOR_CAP) -> FilteredComplex:
-    """Assemble the filtered complex of a diagram."""
-    if reduced and d.basepoint is None and d.unknotted_extras == 0:
-        raise ValueError("reduced complex needs a basepoint")
+    """Assemble the filtered complex of a diagram: the reduced complex
+    of ``marked_diagram(d, reduced)``."""
+    d = marked_diagram(d, reduced)
     n = len(d.crossings)
-    drop = 1 if reduced else 0
     # every vertex has a generator, so the running count reaches a cap
     # below 2^n before the whole cube is resolved
     resolutions, total = [], 0
     for res in cube.walk(d):
         resolutions.append(res)
-        total += 1 << (res.circle_count - drop)
+        total += 1 << (res.circle_count - 1)
         if total > max_generators:
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")
@@ -156,10 +163,10 @@ def build(d: PlanarDiagram, reduced: bool = True,
     base: list[list[int]] = [[] for _ in resolutions]
     for u in sorted(range(1 << n), key=lambda u: -u.bit_count()):
         res = resolutions[u]
-        letters = res.circle_count - drop
+        letters = res.circle_count - 1
         if letters not in by_letters:
             by_letters[letters] = _letter_runs(letters)
-        h, top_q[u] = generator_gradings(d, res, 0, reduced)
+        h, top_q[u] = generator_gradings(d, res, 0)
         for k, run in enumerate(by_letters[letters][0]):
             q = top_q[u] - 2 * k
             gens = by_q.setdefault(q, [])
@@ -170,21 +177,18 @@ def build(d: PlanarDiagram, reduced: bool = True,
     run_cols = [[cols[top_q[u] - 2 * k] for k in range(len(base[u]))]
                 for u in range(1 << n)]
 
-    edge_fn = (tqft.edge_columns_reduced if reduced
-               else tqft.edge_columns_unreduced)
-
     def shape_terms(e: cube.EdgeCobordism, u: int, i: int):
         """(k, rank of t, k', target ranks as a mask) per source
         monomial t with k letters x.  q is preserved iff every target
         has k' = k + (1 + L_w - L_u) / 2 letters x, which depends on the
         shape alone, so checking it here checks every edge of it."""
-        src_letters = e.circles - drop
+        src_letters = e.circles - 1
         dst_letters = src_letters + (1 if e.kind == "split" else -1)
         shift = (1 + dst_letters - src_letters) // 2
         src_rank = by_letters[src_letters][1]
         dst_rank = by_letters[dst_letters][1]
         terms = []
-        for t, mask in enumerate(edge_fn(e)):
+        for t, mask in enumerate(tqft.edge_columns_reduced(e)):
             if not mask:
                 continue
             k = t.bit_count()

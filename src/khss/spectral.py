@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .filtered import FilteredComplex
-from .gf2 import BitSpan
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,33 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
 
 def khovanov_oracle(c: FilteredComplex) -> PageTable:
     """Page 2 computed directly as homology of the jump-1 differential,
-    ignoring all diagonals (the independent route for page(c, 2))."""
+    ignoring all diagonals (the independent route for page(c, 2)).
+
+    Each column is masked to the rows at its own h plus 1, a contiguous
+    range since a block is ordered by h, and reduced on its highest row
+    until that row is a free pivot.  Columns of different h have
+    disjoint rows, so one pivot table ranks every h at once."""
     dims: dict[tuple[int, int], int] = {}
     for b in c.blocks:
         h = b.h
-        d1 = b.jump(1)
         count = Counter(h)
-        rank = {p: BitSpan(col for col, hi in zip(d1, h) if hi == p).dim
-                for p in count}
+        # p -> mask of the rows at p + 1
+        rows = {p - 1: (1 << n) - 1 << h.index(p) for p, n in count.items()}
+        rank: Counter = Counter()
+        pivots: dict[int, int] = {}  # highest row -> reduced column
+        for p, col in zip(h, b.cols):
+            col &= rows.get(p, 0)
+            while col:
+                top = col.bit_length() - 1
+                other = pivots.get(top)
+                if other is None:
+                    pivots[top] = col
+                    rank[p] += 1
+                    break
+                col ^= other
         for p in sorted(count):
             # ker at degree p minus image coming from degree p-1
-            dim = count[p] - rank[p] - rank.get(p - 1, 0)
+            dim = count[p] - rank[p] - rank[p - 1]
             if dim:
                 dims[(p, b.q)] = dim
     return PageTable(2, dims)

@@ -6,6 +6,10 @@ and B = v- on the unmarked circles only; the marked circle carries no
 letter.  Generator matrices act on the first one or two unmarked tensor
 factors; arbitrary positions are reached by conjugating with swaps.
 
+The cube has one edge rule, ``edge_columns_reduced``; both flavors of
+``filtered.build`` run it.  ``edge_columns_unreduced`` is that rule
+beside an untouched marked circle.
+
 Monomial encoding: basis monomials of V^(tensor m) are integers whose
 bit j records the letter on circle j (0 = v+/T, 1 = v-/B).  A linear
 map is a list of column masks: entry b is the XOR-set of target basis
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .cube import EdgeCobordism
 
@@ -40,53 +43,46 @@ def letter_coproduct(x: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Edge maps of the cube (quotient construction for the reduced flavor)
+# Edge maps of the cube (the marked-circle quotient)
 
-def _edge_terms(e: EdgeCobordism, monomials: Iterable[int]):
-    """The merge/split rule: for each source monomial, the target
-    monomials of its image (never repeated, so their XOR is their
-    union).  Circles the edge does not touch keep their letters; they
-    pair up in increasing index order (see ``cube``)."""
+def edge_columns_reduced(e: EdgeCobordism) -> list[int]:
+    """Column masks of the reduced edge map, by the quotient: put v+ on
+    the marked circle (bit 0), apply the merge/split rule, delete every
+    term carrying v- there and shift the marked bit off.  Circles the
+    edge does not touch keep their letters; they pair up in increasing
+    index order (see ``cube``).  No image monomial repeats, so a
+    column's XOR of its terms is their union."""
     merge = e.kind == "merge"
     s, t = e.sources, e.targets
     kept = list(zip(
         (i for i in range(e.circles) if i not in s),
         (j for j in range(e.circles + (-1 if merge else 1)) if j not in t)))
-    for m in monomials:
+    cols = []
+    for m in range(0, 1 << e.circles, 2):
         base = 0
         for i, j in kept:
             base |= ((m >> i) & 1) << j
         if merge:
             p = letter_product((m >> s[0]) & 1, (m >> s[1]) & 1)
-            yield () if p is None else (base | p << t[0],)
+            terms = () if p is None else (base | p << t[0],)
         else:
-            yield [base | a << t[0] | b << t[1]
-                   for a, b in letter_coproduct((m >> s[0]) & 1)]
+            terms = [base | a << t[0] | b << t[1]
+                     for a, b in letter_coproduct((m >> s[0]) & 1)]
+        acc = 0
+        for x in terms:
+            if not x & 1:
+                acc ^= 1 << (x >> 1)
+        cols.append(acc)
+    return cols
 
 
 def edge_columns_unreduced(e: EdgeCobordism) -> list[int]:
-    """Column masks of the edge map on V^(tensor circles)."""
-    cols = []
-    for terms in _edge_terms(e, range(1 << e.circles)):
-        acc = 0
-        for t in terms:
-            acc ^= 1 << t
-        cols.append(acc)
-    return cols
-
-
-def edge_columns_reduced(e: EdgeCobordism) -> list[int]:
-    """Column masks of the reduced edge map, by the quotient: put v+ on
-    the marked circle (bit 0), apply the merge/split rule, delete every
-    term carrying v- there and shift the marked bit off."""
-    cols = []
-    for terms in _edge_terms(e, range(0, 1 << e.circles, 2)):
-        acc = 0
-        for t in terms:
-            if not t & 1:
-                acc ^= 1 << (t >> 1)
-        cols.append(acc)
-    return cols
+    """Column masks of the edge map on V^(tensor circles): the reduced
+    map of the same shape beside one more circle, the marked one, which
+    the edge does not touch (see ``filtered``)."""
+    return edge_columns_reduced(EdgeCobordism(
+        e.kind, e.circles + 1, tuple(i + 1 for i in e.sources),
+        tuple(j + 1 for j in e.targets)))
 
 
 def compose_columns(first: list[int], second: list[int]) -> list[int]:
@@ -250,18 +246,11 @@ class TriangleReport:
     detail: str = ""
 
 
-def check_triangle(word: GeneratorWord, corrupt: bool = False) -> TriangleReport:
+def check_triangle(word: GeneratorWord) -> TriangleReport:
     """Compare the composites of the stated generator matrices and the
-    quotient-construction matrices along a word.
-
-    ``corrupt`` flips one matrix entry first; a harness control that must
-    always produce a failure report.
-    """
+    quotient-construction matrices along a word."""
     lhs = evaluate_word(word, hfl_columns)
     rhs = evaluate_word(word, reduced_columns)
-    if corrupt:
-        lhs = list(lhs)
-        lhs[0] ^= 1
     if lhs == rhs:
         return TriangleReport(True)
     col = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)

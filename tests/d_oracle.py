@@ -11,7 +11,9 @@ pair of comparable vertices, which is the product
 ``build`` evaluates it column by column, directions highest first: the
 column at each generator g gets the columns at the monomials of d_i g,
 one XOR per edge-map entry.  It reads the edge maps itself and takes
-only the generator layout from ``filtered.build``.
+only the generator layout from ``filtered.build``; like ``build``, it
+builds the unreduced flavor as the reduced complex of the diagram that
+``filtered.marked_diagram`` gives.
 
 Over GF(2), when every square of the cube commutes,
 
@@ -26,7 +28,7 @@ the identity plus terms that raise h, so it is a filtered isomorphism
 from __future__ import annotations
 
 from khss import cube, tqft
-from khss.filtered import FilteredComplex, QBlock
+from khss.filtered import FilteredComplex, QBlock, marked_diagram
 from khss.filtered import build as build_d
 
 from global_layout import bits
@@ -35,19 +37,17 @@ from global_layout import bits
 def build(d, reduced: bool = True) -> FilteredComplex:
     """The blocks of ``filtered.build``, each column the column of D."""
     layout = build_d(d, reduced)
+    d = marked_diagram(d, reduced)
     n = len(d.crossings)
-    drop = 1 if reduced else 0
     resolutions = [cube.resolve(d, u) for u in range(1 << n)]
     # col[u][m] is the column of I + D at monomial m of vertex u, over
     # the local indices of its block; it starts as that generator's bit
-    col = [[0] * (1 << (res.circle_count - drop)) for res in resolutions]
+    col = [[0] * (1 << (res.circle_count - 1)) for res in resolutions]
     for b in layout.blocks:
         for j, g in enumerate(b.generators):
             col[g.vertex][g.monomial] = 1 << j
 
     # after direction i, col holds the columns of the factors i and above
-    edge_fn = (tqft.edge_columns_reduced if reduced
-               else tqft.edge_columns_unreduced)
     for i in reversed(range(n)):
         step = 1 << i
         for u in range(1 << n):
@@ -56,7 +56,7 @@ def build(d, reduced: bool = True) -> FilteredComplex:
             w = u | step
             e = cube.edge_between(d, resolutions[u], resolutions[w], i)
             src, dst = col[u], col[w]
-            for t, mask in enumerate(edge_fn(e)):
+            for t, mask in enumerate(tqft.edge_columns_reduced(e)):
                 acc = src[t]
                 for s in bits(mask):
                     acc ^= dst[s]

@@ -3,14 +3,16 @@ side of the edge-consistency checks.  A reduced edge map evaluated
 through the stated generator matrices must equal
 ``tqft.edge_columns_reduced``.  Also the shape of an edge from the
 circles of all four arcs of its crossing, the oracle of
-``cube.edge_between``.
+``cube.edge_between``, and the unreduced edge map by the direct
+merge/split rule, the oracle of ``tqft.edge_columns_unreduced``.
 """
 
 from __future__ import annotations
 
 from khss.cube import EdgeCobordism, Resolution, classify_edge, resolve
 from khss.diagram import PlanarDiagram, StructureError
-from khss.tqft import Generator, GeneratorWord, evaluate_word
+from khss.tqft import (Generator, GeneratorWord, evaluate_word,
+                       letter_coproduct, letter_product)
 
 
 def circle_arcs(res: Resolution) -> list[frozenset[int]]:
@@ -101,3 +103,31 @@ def edge_word_columns(d: PlanarDiagram, u: int, crossing: int) -> list[int]:
     """Evaluate the generator word of an edge via the stated generator
     matrices (the oracle side of the edge-consistency check)."""
     return evaluate_word(edge_as_generator_word(d, u, crossing))
+
+
+def unreduced_columns(e: EdgeCobordism) -> list[int]:
+    """Column masks of the unreduced edge map on V^(tensor circles),
+    every circle carrying a letter: the touched circles are merged or
+    split by the Frobenius algebra, and the others keep their letters,
+    paired in increasing index order (see ``cube``)."""
+    merge = e.kind == "merge"
+    s, t = e.sources, e.targets
+    kept = list(zip(
+        (i for i in range(e.circles) if i not in s),
+        (j for j in range(e.circles + (-1 if merge else 1)) if j not in t)))
+    cols = []
+    for m in range(1 << e.circles):
+        base = 0
+        for i, j in kept:
+            base |= ((m >> i) & 1) << j
+        if merge:
+            p = letter_product((m >> s[0]) & 1, (m >> s[1]) & 1)
+            terms = () if p is None else (base | p << t[0],)
+        else:
+            terms = [base | a << t[0] | b << t[1]
+                     for a, b in letter_coproduct((m >> s[0]) & 1)]
+        acc = 0
+        for x in terms:
+            acc ^= 1 << x
+        cols.append(acc)
+    return cols

@@ -1,4 +1,4 @@
-"""Incremental GF(2) spans of bit masks.
+"""Incremental GF(2) spans of bit masks, for the subspace oracle.
 
 A vector is a Python integer used as a bit mask, so every row operation
 is a single word-wide XOR regardless of width.  The package stores its
@@ -11,7 +11,7 @@ from typing import Iterable
 
 
 class BitSpan:
-    """Incremental GF(2) span of integer bit masks (internal workhorse).
+    """Incremental GF(2) span of integer bit masks.
 
     Keeps an echelon basis; ``add`` returns True when the vector was
     independent of the current span.

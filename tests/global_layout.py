@@ -17,7 +17,7 @@ from itertools import permutations
 
 from khss import cube, tqft
 from khss.diagram import PlanarDiagram
-from khss.filtered import generator_gradings
+from khss.filtered import generator_gradings, marked_diagram
 
 PATH_CAP = 6
 
@@ -58,15 +58,15 @@ def diagonal_map(d: PlanarDiagram, u: int, v: int, reduced: bool = True,
     else:
         if sorted(path) != monotone_path(u, v):
             raise ValueError("path does not connect u to v")
-    edge_fn = (tqft.edge_columns_reduced if reduced
-               else tqft.edge_columns_unreduced)
+    d = marked_diagram(d, reduced)
     cols = None
     w = u
     src = cube.resolve(d, u)
     for crossing in path:
         w |= 1 << crossing
         dst = cube.resolve(d, w)
-        step = edge_fn(cube.edge_between(d, src, dst, crossing))
+        step = tqft.edge_columns_reduced(
+            cube.edge_between(d, src, dst, crossing))
         cols = step if cols is None else tqft.compose_columns(cols, step)
         src = dst
     return cols
@@ -113,6 +113,7 @@ def layout_faults(d, reduced: bool, c) -> list[str]:
     vertex appears once, in the block of its own q (gradings recomputed
     from the diagram), ordered by h, highest first; every column's
     support lies inside its own block at strictly higher h."""
+    d = marked_diagram(d, reduced)
     resolutions = [cube.resolve(d, u) for u in range(1 << len(d.crossings))]
     faults = []
     seen = set()
@@ -122,7 +123,7 @@ def layout_faults(d, reduced: bool, c) -> list[str]:
             faults.append(f"q={b.q}: not ordered by h, highest first")
         for j, g in enumerate(b.generators):
             res = resolutions[g.vertex]
-            if generator_gradings(d, res, g.monomial, reduced) != (g.h, b.q):
+            if generator_gradings(d, res, g.monomial) != (g.h, b.q):
                 faults.append(f"q={b.q}: {g} has other gradings")
             seen.add((g.vertex, g.monomial))
             col = b.cols[j]
@@ -130,9 +131,8 @@ def layout_faults(d, reduced: bool, c) -> list[str]:
                 faults.append(f"q={b.q}: column {j} leaves its block")
             elif any(h[i] <= h[j] for i in bits(col)):
                 faults.append(f"q={b.q}: column {j} does not raise h")
-    drop = 1 if reduced else 0
     expected = {(u, m) for u, res in enumerate(resolutions)
-                for m in range(1 << (res.circle_count - drop))}
+                for m in range(1 << (res.circle_count - 1))}
     if seen != expected or len(seen) != c.n_generators:
         faults.append("generators are not the cube's monomials, once each")
     return faults

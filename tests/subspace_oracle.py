@@ -14,7 +14,7 @@ about 20 s.
 
 from __future__ import annotations
 
-from khss.gf2 import BitSpan
+from gf2 import BitSpan
 from khss.spectral import PageTable, SpectralResult
 
 

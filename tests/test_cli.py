@@ -14,7 +14,7 @@ import pytest
 
 from conftest import (FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path,
                       probe_closures)
-from khss import cli
+from khss import cli, tqft
 from khss.cli import main
 from khss.diagram import parse_pd
 
@@ -291,8 +291,20 @@ def test_probe_asks_for_at_most_cpu_count_workers(capsys, monkeypatch):
                         functools.partial(RecordingPool, created))
     code, out, _ = run(capsys, "probe", corpus_path(), "--threads", "64")
     assert code == 0 and len(out.splitlines()) == 10
-    workers = min(9, os.cpu_count() or 1)  # nine rows, all cache misses
+    workers = min(9, cli._cpus())  # nine rows, all cache misses
     assert [w for w, _ in created] == ([workers] if workers > 1 else [])
+
+
+def test_probe_counts_the_cpus_it_may_use(capsys, monkeypatch):
+    # the host may have more CPUs than this process is allowed to run on
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli.make_parser().parse_args(["probe", "x.csv"]).threads == 1
+    serial = run(capsys, "probe", corpus_path())
+    monkeypatch.setattr(cli, "_pool", None)  # calling it fails
+    assert run(capsys, "probe", corpus_path(), "--threads", "2") == serial
+    assert serial[0] == 0 and len(serial[1].splitlines()) == 10
 
 
 def test_probe_warm_pass_starts_no_pool(capsys, monkeypatch, tmp_path):
@@ -309,7 +321,8 @@ def test_probe_workers_fork_only_without_other_threads(capsys, monkeypatch,
     created = []
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         functools.partial(RecordingPool, created))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # RecordingPool forks none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)  # RecordingPool forks none
     run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "a"))
     with another_thread():
         run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "b"))
@@ -317,7 +330,7 @@ def test_probe_workers_fork_only_without_other_threads(capsys, monkeypatch,
 
 
 def test_probe_spawned_workers_give_the_same_rows(capsys, mixed_corpus):
-    if (os.cpu_count() or 1) < 2:
+    if cli._cpus() < 2:
         pytest.skip("one CPU: the rows are computed in this process")
     one = run(capsys, "probe", str(mixed_corpus), "--threads", "1")
     with another_thread():  # so the workers are spawned
@@ -342,7 +355,8 @@ def test_probe_dead_worker_exit_1(capsys, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         functools.partial(DyingPool, []))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # DyingPool forks none
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)  # DyingPool forks none
     code, out, err = run(capsys, "probe", corpus_path(), "--threads", "2")
     assert code == 1 and out == ""
     assert "worker process died" in err
@@ -450,10 +464,13 @@ def test_tqft_check_zero_count_usage_error(capsys):
     assert run(capsys, "tqft-check", "--count", "0")[0] == 2
 
 
-def test_tqft_check_corrupt_reports_failure(capsys):
-    code, out, _ = run(capsys, "tqft-check", "--count", "3", "--seed", "1",
-                       "--corrupt")
-    assert code != 0
+def test_tqft_check_corrupt_reports_failure(capsys, monkeypatch):
+    # mutation control: one flipped entry in every stated matrix
+    real = tqft.hfl_columns
+    monkeypatch.setattr(tqft, "hfl_columns",
+                        lambda g: [real(g)[0] ^ 1, *real(g)[1:]])
+    code, out, _ = run(capsys, "tqft-check", "--count", "10", "--seed", "1")
+    assert code == 1
     assert "FAIL" in out
 
 

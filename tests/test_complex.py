@@ -10,7 +10,8 @@ from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, tqft
 from khss.cube import classify_edge, resolve
 from khss.diagram import parse_pd, reidemeister2
-from khss.filtered import GradingError, SizeCapError, build, verify_d_squared
+from khss.filtered import (GradingError, SizeCapError, build, marked_diagram,
+                           verify_d_squared)
 
 
 def dims_by_h(c):
@@ -70,10 +71,11 @@ def test_build_rejects_a_composite_that_changes_q(monkeypatch):
     # mutation control: toggling monomials 0 and 1 of one edge column
     # (their q differ) leaves a bit of the wrong q in that column; the
     # edge maps are per shape, so every edge shaped like the one at
-    # vertex 0, crossing 0 gets the bad bit
-    real = tqft.edge_columns_unreduced
+    # vertex 0, crossing 0 gets the bad bit; the unreduced complex runs
+    # the reduced rule at the shapes of the marked diagram
+    real = tqft.edge_columns_reduced
     d = parse_pd(TREFOIL)
-    shape = classify_edge(d, 0, 0)
+    shape = classify_edge(marked_diagram(d, False), 0, 0)
 
     def corrupted(e):
         cols = real(e)
@@ -82,7 +84,7 @@ def test_build_rejects_a_composite_that_changes_q(monkeypatch):
         return cols
 
     build(d, reduced=False)
-    monkeypatch.setattr(tqft, "edge_columns_unreduced", corrupted)
+    monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
     with pytest.raises(GradingError):
         build(d, reduced=False)
 
@@ -91,15 +93,15 @@ def test_build_rejects_a_composite_that_changes_q(monkeypatch):
 def test_build_evaluates_each_edge_shape_once(store, monkeypatch, reduced):
     d = store.corpus["9_1"]
     n = len(d.crossings)
-    fn = "edge_columns_reduced" if reduced else "edge_columns_unreduced"
-    real, calls = getattr(tqft, fn), []
+    real, calls = tqft.edge_columns_reduced, []
 
     def counted(e):
         calls.append(e)
         return real(e)
 
-    monkeypatch.setattr(tqft, fn, counted)
+    monkeypatch.setattr(tqft, "edge_columns_reduced", counted)
     build(d, reduced)
+    d = marked_diagram(d, reduced)
     # an edge's shape: merge or split, source circle count, touched
     # circles at either end
     shapes = set()

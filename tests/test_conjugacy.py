@@ -8,7 +8,7 @@ from conftest import TREFOIL, probe_closures
 from khss import tqft
 from khss.cube import classify_edge
 from khss.diagram import parse_pd
-from khss.filtered import build, verify_d_squared
+from khss.filtered import build, marked_diagram, verify_d_squared
 
 
 def identity_conjugates(c, composite) -> bool:
@@ -52,23 +52,24 @@ def test_a_square_that_does_not_commute_is_caught(monkeypatch):
     # mutation control: drop the entry monomial 0 -> monomial 0 from the
     # edges shaped like the one at vertex 0, crossing 0 (q is kept), so
     # the squares at those edges stop commuting; d^2 = 0 and G d = D G
-    # must both fail
+    # must both fail.  Both flavors run the reduced rule, the unreduced
+    # one at the shapes of the marked diagram.
     d = parse_pd(TREFOIL)
-    shape = classify_edge(d, 0, 0)
-    for reduced, fn in ((True, "edge_columns_reduced"),
-                        (False, "edge_columns_unreduced")):
-        real = getattr(tqft, fn)
+    real = tqft.edge_columns_reduced
+    for reduced in (True, False):
+        shape = classify_edge(marked_diagram(d, reduced), 0, 0)
 
-        def corrupted(e, real=real):
+        def corrupted(e, shape=shape):
             cols = real(e)
             if e == shape:
                 assert cols[0] & 1
                 cols = [cols[0] ^ 1, *cols[1:]]
             return cols
 
+        monkeypatch.setattr(tqft, "edge_columns_reduced", real)
         assert d_oracle.conjugate(build(d, reduced),
                                   d_oracle.build(d, reduced), 3)
-        monkeypatch.setattr(tqft, fn, corrupted)
+        monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
         c, composite = build(d, reduced), d_oracle.build(d, reduced)
         assert not verify_d_squared(c)
         assert not d_oracle.conjugate(c, composite, 3)

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from khss.gf2 import BitSpan
+from gf2 import BitSpan
 from naive import rank_gf2
 
 

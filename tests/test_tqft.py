@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from edge_words import unreduced_columns
+from khss import tqft
 from khss.cli import random_word
+from khss.cube import EdgeCobordism
 from khss.tqft import (
     V_MINUS,
     V_PLUS,
@@ -119,6 +122,25 @@ def test_hfl_equals_reduced_for_every_generator():
         assert hfl_columns(g) == reduced_columns(g), g
 
 
+def all_edge_shapes(max_circles):
+    """Every merge and split shape with at most ``max_circles`` source
+    circles."""
+    for c in range(1, max_circles + 1):
+        for s in range(c):
+            for t in itertools.combinations(range(c + 1), 2):
+                yield EdgeCobordism("split", c, (s,), t)
+        for s in itertools.combinations(range(c), 2):
+            for t in range(c - 1):
+                yield EdgeCobordism("merge", c, s, (t,))
+
+
+def test_unreduced_edge_map_is_the_reduced_one_beside_a_marked_circle():
+    shapes = list(all_edge_shapes(7))
+    assert len(shapes) == 728
+    for e in shapes:
+        assert tqft.edge_columns_unreduced(e) == unreduced_columns(e), e
+
+
 def test_swap_invariance():
     # the doubling map is symmetric in its two new factors
     for n in range(2, 6):
@@ -173,9 +195,12 @@ def test_check_triangle_random_words():
         assert check_triangle(random_word(rng)).ok
 
 
-def test_check_triangle_corrupt_mode_fails():
-    report = check_triangle(GeneratorWord((Generator("V", 1),)),
-                            corrupt=True)
+def test_check_triangle_corrupt_mode_fails(monkeypatch):
+    # mutation control: one flipped entry in the stated matrix
+    real = tqft.hfl_columns
+    monkeypatch.setattr(tqft, "hfl_columns",
+                        lambda g: [real(g)[0] ^ 1, *real(g)[1:]])
+    report = check_triangle(GeneratorWord((Generator("V", 1),)))
     assert not report.ok
     assert report.detail
 
