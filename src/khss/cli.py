@@ -55,6 +55,18 @@ def diagram_hash(d: PlanarDiagram) -> str:
     return hashlib.sha256(render(d).encode()).hexdigest()[:16]
 
 
+def diagram_fields(d: PlanarDiagram, name: str = "") -> dict:
+    """The ``diagram`` part of a run record."""
+    return {
+        "name": name,
+        "pd": render(d),
+        "crossings": len(d.crossings),
+        "writhe": d.writhe,
+        "basepoint": d.basepoint,
+        "hash": diagram_hash(d),
+    }
+
+
 def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
                name: str = "", elapsed: float = 0.0) -> dict:
     pages = {
@@ -62,14 +74,7 @@ def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
         for pt in result.pages
     }
     return {
-        "diagram": {
-            "name": name,
-            "pd": render(d),
-            "crossings": len(d.crossings),
-            "writhe": d.writhe,
-            "basepoint": d.basepoint,
-            "hash": diagram_hash(d),
-        },
+        "diagram": diagram_fields(d, name),
         "flavor": "reduced" if reduced else "unreduced",
         "pages": pages,
         "collapse_page": result.collapse_page,
@@ -89,6 +94,10 @@ def cache_dir_from(args) -> Path | None:
 
 
 def cache_key(d: PlanarDiagram, reduced: bool) -> str:
+    """The unreduced complex does not depend on the basepoint, so an
+    unreduced record is keyed by the diagram at its default basepoint."""
+    if not reduced and d.crossings:
+        d = d.with_basepoint(1)
     flavor = "reduced" if reduced else "unreduced"
     payload = f"{render(d)}|{flavor}|{__version__}"
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -229,6 +238,9 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
     cdir = _cache_dir(args)
     records = [None if cdir is None else cache_load(cdir, d, args.reduced)
                for _, d in items]
+    for (name, d), record in zip(items, records):
+        if record is not None:  # an entry may be shared across basepoints
+            record["diagram"] = diagram_fields(d, name)
     misses = [i for i, record in enumerate(records) if record is None]
     work = functools.partial(_item_record, reduced=args.reduced,
                              max_generators=args.max_generators)

@@ -12,28 +12,37 @@ differential d is the sum of the edge maps over every cube edge, and
 raises h by 1.  The paper's differential D adds the composites along
 monotone paths; it gives the same pages (see ``spectral``).
 
-Every edge map preserves q, so the complex is stored as one ``QBlock``
-per quantum degree, with block-local indices.  Inside a block the
-generators are ordered by h, highest first, and ``cols[j]`` is the
-differential of local generator j: bit i is its coefficient on local
-generator i of the same block.
+Every edge map preserves q, so d maps the generators at (h, q) into
+those at (h + 1, q) alone, and ``build`` stores the complex as one
+``Slice`` per (h, q): ``cols[j]`` is the differential of local
+generator j, bit i its coefficient on local generator i of the slice
+(h + 1, q).  A column is then only as wide as its target slice.
 
-A block lists its vertices by weight, highest first, and each vertex's
-monomials in increasing order.  Monomial m of vertex u has the q of u's
-monomial 0 minus 2|m|, |m| its count of letters x, so u's monomials in
-one block are those with one count k: a contiguous run, increasing, and
+A slice lists its generators as runs ``(u, k)``, by increasing vertex:
+the monomials of vertex u with k letters x, in increasing order.
+Monomial m of u has the q of u's monomial 0 minus 2|m|, |m| its count
+of letters x, so the monomials of u at one q are exactly one run, and
 m sits at the run's start plus its rank among the monomials with k
 letters x.  An edge u -> w preserves q, so every target of a source
 monomial t lies in the one run of w with |t| + (1 + L_w - L_u) / 2
 letters x (L the letter count of a vertex).  In rank coordinates the
 image of t depends only on the edge's shape, and writing it into the
-block is one shift by the start of that run.
+target slice is one shift by the start of that run.
+
+A general filtered complex, whose differential may raise h by any
+amount, is a ``BlockComplex``: one ``QBlock`` per q, ordered by h,
+highest first, with columns over the whole block.  The planted
+complexes of the tests and the composite differential D are of this
+kind.  A block column is as wide as its row offset inside the block,
+so the blocks of d would take memory quadratic in their widths where
+the slices take it about linear in the nonzeros; ``spectral`` reduces
+both forms with the same column reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import cube, tqft
 from .cube import Resolution
@@ -57,8 +66,63 @@ class KhGenerator(NamedTuple):
     q: int
 
 
-@dataclass(frozen=True)
-class QBlock:
+class Slice(NamedTuple):
+    """The generators at one (h, q), as runs, and the columns of d out of
+    them over the local indices of the slice (h + 1, q)."""
+
+    h: int
+    q: int
+    runs: list[tuple[int, int]]  # (u, k): u's monomials with k letters x
+    size: int
+    cols: list[int]
+
+
+@dataclass
+class FilteredComplex:
+    """The complex ``build`` gives: its slices by increasing q, then
+    decreasing h, and the letter count of every vertex's monomials."""
+
+    slices: list[Slice]
+    letters: list[int]
+
+    def with_targets(self) -> Iterator[tuple[Slice, Slice | None]]:
+        """Each slice with the slice its columns map into, None when the
+        complex has no generator there."""
+        prev = None
+        for s in self.slices:
+            hit = prev is not None and prev.q == s.q and prev.h == s.h + 1
+            yield s, prev if hit else None
+            prev = s
+
+    @property
+    def generators(self) -> list[KhGenerator]:
+        """Every generator, slice by slice, derived from the runs on every
+        call (the pipeline reads the slices)."""
+        runs: dict[int, list[list[int]]] = {}
+        out = []
+        for s in self.slices:
+            for u, k in s.runs:
+                letters = self.letters[u]
+                if letters not in runs:
+                    runs[letters] = _letter_runs(letters)[0]
+                out.extend(KhGenerator(u, m, s.h, s.q)
+                           for m in runs[letters][k])
+        return out
+
+    @property
+    def n_generators(self) -> int:
+        return sum(s.size for s in self.slices)
+
+    @property
+    def components(self) -> dict[int, dict[tuple[int, int, int], int]]:
+        """Jump k -> {(h, q, local column) -> mask}: the stored nonzero
+        columns, all at jump 1 (the benchmark's size counters read
+        this view)."""
+        return {1: {(s.h, s.q, j): col for s in self.slices
+                    for j, col in enumerate(s.cols) if col}}
+
+
+class QBlock(NamedTuple):
     """The generators of quantum degree q, ordered by h, highest first,
     and the differential as column masks over their local indices."""
 
@@ -70,42 +134,11 @@ class QBlock:
     def h(self) -> list[int]:
         return [g.h for g in self.generators]
 
-    def _rows(self) -> dict[int, int]:
-        """h -> mask of the local rows at that h."""
-        rows: dict[int, int] = {}
-        for i, g in enumerate(self.generators):
-            rows[g.h] = rows.get(g.h, 0) | 1 << i
-        return rows
 
+class BlockComplex(NamedTuple):
+    """A general filtered complex: one block per quantum degree."""
 
-@dataclass
-class FilteredComplex:
-    blocks: list[QBlock]  # one per quantum degree, by increasing q
-
-    @property
-    def generators(self) -> list[KhGenerator]:
-        """Every generator, block by block."""
-        return [g for b in self.blocks for g in b.generators]
-
-    @property
-    def n_generators(self) -> int:
-        return sum(len(b.generators) for b in self.blocks)
-
-    @property
-    def components(self) -> dict[int, dict[tuple[int, int], int]]:
-        """Jump k -> {(q, local column) -> local row mask}, derived from
-        the blocks on every call (the pipeline reads the blocks; the
-        benchmark's size counters read this view).  ``build`` gives
-        jump 1 only."""
-        out: dict[int, dict[tuple[int, int], int]] = {}
-        for b in self.blocks:
-            rows, gens = b._rows(), b.generators
-            for j, col in enumerate(b.cols):
-                while col:  # peel off the rows at the lowest h left
-                    h = gens[col.bit_length() - 1].h
-                    out.setdefault(h - gens[j].h, {})[(b.q, j)] = col & rows[h]
-                    col &= ~rows[h]
-        return out
+    blocks: list[QBlock]
 
 
 def generator_gradings(d: PlanarDiagram, res: Resolution,
@@ -154,28 +187,30 @@ def build(d: PlanarDiagram, reduced: bool = True,
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")
 
-    # vertices of larger weight first puts each block's h highest first;
     # base[u][k] is where the run of u's monomials with k letters x
-    # starts in its block, run_cols[u][k] that block's columns
+    # starts in its slice, at (h, top_q - 2k) with (h, top_q) = top[u]
     by_letters: dict[int, tuple[list[list[int]], list[int]]] = {}
-    by_q: dict[int, list[KhGenerator]] = {}
-    top_q = [0] * (1 << n)
-    base: list[list[int]] = [[] for _ in resolutions]
-    for u in sorted(range(1 << n), key=lambda u: -u.bit_count()):
-        res = resolutions[u]
-        letters = res.circle_count - 1
-        if letters not in by_letters:
-            by_letters[letters] = _letter_runs(letters)
-        h, top_q[u] = generator_gradings(d, res, 0)
-        for k, run in enumerate(by_letters[letters][0]):
-            q = top_q[u] - 2 * k
-            gens = by_q.setdefault(q, [])
-            base[u].append(len(gens))
-            gens.extend(KhGenerator(u, m, h, q) for m in run)
-    blocks = [QBlock(q, by_q[q], [0] * len(by_q[q])) for q in sorted(by_q)]
-    cols = {b.q: b.cols for b in blocks}
-    run_cols = [[cols[top_q[u] - 2 * k] for k in range(len(base[u]))]
-                for u in range(1 << n)]
+    runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    sizes: dict[tuple[int, int], int] = {}
+    letters = [res.circle_count - 1 for res in resolutions]
+    base: list[list[int]] = []
+    top = [generator_gradings(d, res, 0) for res in resolutions]
+    for u, (h, top_q) in enumerate(top):
+        if letters[u] not in by_letters:
+            by_letters[letters[u]] = _letter_runs(letters[u])
+        base.append([])
+        for k, run in enumerate(by_letters[letters[u]][0]):
+            key = (h, top_q - 2 * k)
+            start = sizes.get(key, 0)
+            base[u].append(start)
+            sizes[key] = start + len(run)
+            runs.setdefault(key, []).append((u, k))
+    slices = {key: Slice(*key, runs[key], size, [0] * size)
+              for key, size in sorted(sizes.items(),
+                                      key=lambda kv: (kv[0][1], -kv[0][0]))}
+    run_cols = [[slices[(h, top_q - 2 * k)].cols
+                 for k in range(letters[u] + 1)]
+                for u, (h, top_q) in enumerate(top)]
 
     def shape_terms(e: cube.EdgeCobordism, u: int, i: int):
         """(k, rank of t, k', target ranks as a mask) per source
@@ -220,14 +255,18 @@ def build(d: PlanarDiagram, reduced: bool = True,
             src_cols, src_base, dst_base = run_cols[u], base[u], base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
-    return FilteredComplex(blocks)
+    return FilteredComplex(list(slices.values()), letters)
 
 
 def verify_d_squared(c: FilteredComplex) -> bool:
-    """True iff the differential squares to zero."""
-    for b in c.blocks:
-        cols = b.cols
-        for mask in cols:
+    """True iff the differential squares to zero: every column of a slice
+    has its rows inside the next slice, and the columns there at those
+    rows sum to zero."""
+    for s, target in c.with_targets():
+        cols = target.cols if target is not None else []
+        for mask in s.cols:
+            if mask >> len(cols):
+                return False
             acc = 0
             while mask:  # clearing the top bit shrinks the int each step
                 top = mask.bit_length() - 1

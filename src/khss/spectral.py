@@ -15,7 +15,15 @@ h = a) with pivot y (at h = a + g) pairs the two: both survive on pages
 1..g, and d_g maps one onto the other, adding 1 to the d_g rank at
 (a, q).  Unpaired generators survive to the abutment, so they count the
 homology of the total differential, and the sequence collapses at page
-max(2, largest gap + 1).
+max(2, largest gap + 1).  Every generator is the source of one pair,
+the target of one, or unpaired, so the unpaired ones at h number the
+generators at h less the pairs leaving and entering h.
+
+The complex ``filtered.build`` gives raises h by exactly 1, so a column
+at h only ever meets columns at h: the reduction runs one (h, q) slice
+at a time, over the rows of the slice (h + 1, q) followed by its own,
+and gives the pairs of the whole q-block.  A ``filtered.BlockComplex``,
+whose differential may raise h by more, is reduced a block at a time.
 
 Theorem: over GF(2) the paper's differential D, given by
 I + D = (1 + d_{n-1}) ... (1 + d_0) with d_i the edge maps in direction
@@ -31,11 +39,11 @@ every d_j; induct on the crossings.  ``filtered.build`` stores d;
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .filtered import FilteredComplex
+from .filtered import BlockComplex, FilteredComplex
 
 
 @dataclass(frozen=True)
@@ -81,6 +89,12 @@ class Barcode:
     unpaired: Counter  # h -> count
 
     @property
+    def heights(self) -> set[int]:
+        """The h of every generator: each ends a pair or is unpaired."""
+        return ({h for a, g in self.pairs for h in (a, a + g)}
+                | set(self.unpaired))
+
+    @property
     def max_gap(self) -> int:
         return max((g for _, g in self.pairs), default=0)
 
@@ -105,11 +119,16 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
     generators must be ordered by h, highest first, and the differential
     must raise h.
     """
-    if any(a < b for a, b in zip(h, h[1:])):
+    pairs = _pairs(h, cols)
+    return Barcode(pairs, _unpaired(Counter(h), pairs))
+
+
+def _pairs(h: Sequence[int], cols: Sequence[int]) -> Counter:
+    """(h of the source, gap) -> count over the pairs of ``barcode``."""
+    if list(h) != sorted(h, reverse=True):
         raise ValueError("generators must be ordered by h, highest first")
     reduced: dict[int, int] = {}  # pivot -> reduced column
     pairs: Counter = Counter()
-    cycles = []
     for i, col in enumerate(cols):
         while col:
             low = col.bit_length() - 1
@@ -121,48 +140,60 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
                 pairs[(h[i], h[low] - h[i])] += 1
                 break
             col ^= other
-        else:
-            cycles.append(i)
-    return Barcode(pairs, Counter(h[i] for i in cycles if i not in reduced))
+    return pairs
+
+
+def _unpaired(sizes: Counter, pairs: Counter) -> Counter:
+    """h -> generators left unpaired: every generator is the source of
+    one pair, the target of one, or unpaired."""
+    out = Counter(sizes)
+    for (a, g), n in pairs.items():
+        out[a] -= n
+        out[a + g] -= n
+    return +out
 
 
 def khovanov_oracle(c: FilteredComplex) -> PageTable:
-    """Page 2 computed directly as homology of the jump-1 differential,
-    ignoring all diagonals (the independent route for page(c, 2)).
-
-    Each column is masked to the rows at its own h plus 1, a contiguous
-    range since a block is ordered by h, and reduced on its highest row
-    until that row is a free pivot.  Columns of different h have
-    disjoint rows, so one pivot table ranks every h at once."""
-    dims: dict[tuple[int, int], int] = {}
-    for b in c.blocks:
-        h = b.h
-        count = Counter(h)
-        # p -> mask of the rows at p + 1
-        rows = {p - 1: (1 << n) - 1 << h.index(p) for p, n in count.items()}
-        rank: Counter = Counter()
+    """Page 2 computed directly as homology of d (the direct route for
+    page(c, 2)): each slice's columns are ranked as stored, by
+    elimination on their highest row, and the dimension at (h, q) is
+    the slice's size minus the ranks out of it and into it."""
+    rank: dict[tuple[int, int], int] = {}
+    for s in c.slices:
         pivots: dict[int, int] = {}  # highest row -> reduced column
-        for p, col in zip(h, b.cols):
-            col &= rows.get(p, 0)
+        for col in s.cols:
             while col:
                 top = col.bit_length() - 1
                 other = pivots.get(top)
                 if other is None:
                     pivots[top] = col
-                    rank[p] += 1
                     break
                 col ^= other
-        for p in sorted(count):
-            # ker at degree p minus image coming from degree p-1
-            dim = count[p] - rank[p] - rank[p - 1]
-            if dim:
-                dims[(p, b.q)] = dim
+        rank[(s.h, s.q)] = len(pivots)
+    dims: dict[tuple[int, int], int] = {}
+    for s in c.slices:
+        dim = s.size - rank[(s.h, s.q)] - rank.get((s.h - 1, s.q), 0)
+        if dim:
+            dims[(s.h, s.q)] = dim
     return PageTable(2, dims)
 
 
-def _barcodes(c: FilteredComplex) -> dict[int, Barcode]:
-    """q -> barcode of that q-block."""
-    return {b.q: barcode(b.h, b.cols) for b in c.blocks}
+def _barcodes(c: FilteredComplex | BlockComplex) -> dict[int, Barcode]:
+    """q -> barcode of the generators of that q.  A column of a slice
+    only meets columns of the same slice, so each slice is reduced on
+    its own, its target slice's rows first; the unpaired generators
+    are counted from the sizes."""
+    if isinstance(c, BlockComplex):
+        return {b.q: barcode(b.h, b.cols) for b in c.blocks}
+    pairs: dict[int, Counter] = defaultdict(Counter)
+    sizes: dict[int, Counter] = defaultdict(Counter)
+    for s, target in c.with_targets():
+        m = target.size if target is not None else 0
+        pairs[s.q].update(
+            _pairs([s.h + 1] * m + [s.h] * s.size, [0] * m + s.cols))
+        sizes[s.q][s.h] += s.size
+    return {q: Barcode(pairs[q], _unpaired(sizes[q], pairs[q]))
+            for q in sizes}
 
 
 def _page(barcodes: dict[int, Barcode], r: int) -> PageTable:
@@ -182,26 +213,24 @@ def _homology(barcodes: dict[int, Barcode]) -> dict[int, int]:
             if (dim := sum(bars.unpaired.values()))}
 
 
-def page(c: FilteredComplex, r: int) -> PageTable:
+def page(c: FilteredComplex | BlockComplex, r: int) -> PageTable:
     """One page of the spectral sequence (r >= 1)."""
     if r < 1:
         raise ValueError("page index starts at 1")
     return _page(_barcodes(c), r)
 
 
-def total_homology(c: FilteredComplex) -> dict[int, int]:
+def total_homology(c: FilteredComplex | BlockComplex) -> dict[int, int]:
     """q -> dim of the homology of the full differential."""
     return _homology(_barcodes(c))
 
 
-def compute(c: FilteredComplex) -> SpectralResult:
+def compute(c: FilteredComplex | BlockComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment."""
-    # a block's generators are ordered by h, highest first
-    tops = [b.generators[0].h for b in c.blocks if b.generators]
-    bottoms = [b.generators[-1].h for b in c.blocks if b.generators]
-    length = max(tops) - min(bottoms) if tops else 0
-    r_max = max(2, length + 2)  # no differential has jump > length
     barcodes = _barcodes(c)
+    heights = set().union(*(b.heights for b in barcodes.values()))
+    length = max(heights) - min(heights) if heights else 0
+    r_max = max(2, length + 2)  # no differential has jump > length
     pages = tuple(_page(barcodes, r) for r in range(2, r_max + 1))
     max_gap = max((b.max_gap for b in barcodes.values()), default=0)
     return SpectralResult(pages, max(2, max_gap + 1), _homology(barcodes))

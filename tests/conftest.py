@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import d_oracle
-from khss import build, compute, load_corpus
+from khss import build, compute, load_corpus, parse_pd
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 TREFOIL_RH = "PD[X(4,2,5,1),X(6,4,1,3),X(2,6,3,5)]"
@@ -20,6 +20,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def corpus_path() -> str:
     return str(resources.files("khss") / "data" / "knots.csv")
+
+
+def braid_closure(word: list[int], strands: int):
+    """The diagram of the closure of a braid word (i = sigma_i, -i its
+    inverse) on ``strands`` strands."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from gen_corpus import braid_closure_pd
+    finally:
+        del sys.path[0]
+    return parse_pd(braid_closure_pd(word, strands))
 
 
 def probe_closures() -> list[str]:

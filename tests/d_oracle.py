@@ -11,7 +11,8 @@ pair of comparable vertices, which is the product
 ``build`` evaluates it column by column, directions highest first: the
 column at each generator g gets the columns at the monomials of d_i g,
 one XOR per edge-map entry.  It reads the edge maps itself and takes
-only the generator layout from ``filtered.build``; like ``build``, it
+only the generator layout from ``filtered.build``, in its block view;
+like ``build``, it
 builds the unreduced flavor as the reduced complex of the diagram that
 ``filtered.marked_diagram`` gives.
 
@@ -28,15 +29,16 @@ the identity plus terms that raise h, so it is a filtered isomorphism
 from __future__ import annotations
 
 from khss import cube, tqft
-from khss.filtered import FilteredComplex, QBlock, marked_diagram
+from khss.filtered import BlockComplex, QBlock, marked_diagram
 from khss.filtered import build as build_d
 
+from block_view import block_view
 from global_layout import bits
 
 
-def build(d, reduced: bool = True) -> FilteredComplex:
+def build(d, reduced: bool = True) -> BlockComplex:
     """The blocks of ``filtered.build``, each column the column of D."""
-    layout = build_d(d, reduced)
+    layout = block_view(build_d(d, reduced))
     d = marked_diagram(d, reduced)
     n = len(d.crossings)
     resolutions = [cube.resolve(d, u) for u in range(1 << n)]
@@ -62,7 +64,7 @@ def build(d, reduced: bool = True) -> FilteredComplex:
                     acc ^= dst[s]
                 src[t] = acc
 
-    return FilteredComplex([
+    return BlockComplex([
         QBlock(b.q, b.generators,
                [col[g.vertex][g.monomial] ^ 1 << j
                 for j, g in enumerate(b.generators)])
@@ -113,9 +115,8 @@ def conjugates(d_block: QBlock, composite_block: QBlock,
     return compose(g, d_block.cols) == compose(composite_block.cols, g)
 
 
-def conjugate(c: FilteredComplex, composite: FilteredComplex,
-              n: int) -> bool:
+def conjugate(c, composite: BlockComplex, n: int) -> bool:
     """True iff G d = D G on every q-block, with d the columns of c and D
     those of composite."""
     return all(conjugates(b, cb, conjugator(b, n))
-               for b, cb in zip(c.blocks, composite.blocks))
+               for b, cb in zip(block_view(c).blocks, composite.blocks))

@@ -1,23 +1,28 @@
 """The differential in the global layout, assembled vertex pair by vertex
-pair from ``diagonal_map``: an oracle for the per-q block layout that
-``filtered.build`` stores (its k = 1 entries) and for the composite
-differential of ``d_oracle`` (every entry).  The monotone paths that
-``diagonal_map`` follows are listed here too.
+pair from ``diagonal_map``: an oracle for the differential that
+``filtered.build`` stores (its k = 1 entries), read through its block
+view, and for the composite differential of ``d_oracle`` (every
+entry).  The monotone paths that ``diagonal_map`` follows are listed
+here too.
 
 An entry is ``(k, (u, m), (v, n))``: the composite from vertex u to a
 vertex v that differs from it at k crossings has coefficient 1 on
-monomial n of v in the image of monomial m of u.  Read off the stored
-blocks, k is the h difference of the two generators instead, so equal
-entry sets also check that each jump raises h by its crossing count.
+monomial n of v in the image of monomial m of u.  Read off the block
+view of a complex, k is the h difference of the two generators instead,
+so equal entry sets also check that each jump raises h by its crossing
+count.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from math import comb
 
+from block_view import block_view
 from khss import cube, tqft
 from khss.diagram import PlanarDiagram
-from khss.filtered import generator_gradings, marked_diagram
+from khss.filtered import (FilteredComplex, generator_gradings,
+                           marked_diagram)
 
 PATH_CAP = 6
 
@@ -95,9 +100,9 @@ def diagonal_entries(d, reduced: bool) -> set:
 
 
 def stored_entries(c) -> set:
-    """Entries of the stored blocks, with k the h difference."""
+    """Entries of the block view, with k the h difference."""
     out = set()
-    for b in c.blocks:
+    for b in block_view(c).blocks:
         gens = b.generators
         for j, col in enumerate(b.cols):
             src = gens[j]
@@ -108,16 +113,41 @@ def stored_entries(c) -> set:
     return out
 
 
+def slice_faults(c: FilteredComplex) -> list[str]:
+    """Where the slices of ``build`` break their layout: one slice per
+    (h, q), ordered by increasing q, then decreasing h, its size the
+    length of its runs, and every column a mask over its target slice
+    (h + 1, q)."""
+    faults = []
+    keys = [(s.q, -s.h) for s in c.slices]
+    if keys != sorted(set(keys)):
+        faults.append("slices are not one per (h, q), by q, then h down")
+    size = {(s.h, s.q): s.size for s in c.slices}
+    for s in c.slices:
+        run_sizes = sum(comb(c.letters[u], k) for u, k in s.runs)
+        if len(s.cols) != s.size or run_sizes != s.size:
+            faults.append(f"(h, q) = {s.h, s.q}: runs, size and columns "
+                          f"disagree")
+        rows = size.get((s.h + 1, s.q), 0)
+        if any(col >> rows for col in s.cols):
+            faults.append(f"(h, q) = {s.h, s.q}: a column leaves its "
+                          f"target slice")
+    return faults
+
+
 def layout_faults(d, reduced: bool, c) -> list[str]:
-    """Where the stored blocks break the layout: every monomial of every
+    """Where the block view breaks the layout: every monomial of every
     vertex appears once, in the block of its own q (gradings recomputed
     from the diagram), ordered by h, highest first; every column's
-    support lies inside its own block at strictly higher h."""
+    support lies inside its own block at strictly higher h.  The slices
+    of a ``FilteredComplex`` are checked by ``slice_faults`` too."""
     d = marked_diagram(d, reduced)
     resolutions = [cube.resolve(d, u) for u in range(1 << len(d.crossings))]
-    faults = []
+    faults = slice_faults(c) if isinstance(c, FilteredComplex) else []
     seen = set()
-    for b in c.blocks:
+    count = 0
+    for b in block_view(c).blocks:
+        count += len(b.generators)
         h = b.h
         if any(x < y for x, y in zip(h, h[1:])):
             faults.append(f"q={b.q}: not ordered by h, highest first")
@@ -133,6 +163,6 @@ def layout_faults(d, reduced: bool, c) -> list[str]:
                 faults.append(f"q={b.q}: column {j} does not raise h")
     expected = {(u, m) for u, res in enumerate(resolutions)
                 for m in range(1 << (res.circle_count - 1))}
-    if seen != expected or len(seen) != c.n_generators:
+    if seen != expected or len(seen) != count:
         faults.append("generators are not the cube's monomials, once each")
     return faults

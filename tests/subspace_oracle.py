@@ -14,6 +14,7 @@ about 20 s.
 
 from __future__ import annotations
 
+from block_view import block_view
 from gf2 import BitSpan
 from khss.spectral import PageTable, SpectralResult
 
@@ -124,16 +125,16 @@ class SubspaceBlock:
 
 
 def q_blocks(c) -> dict[int, SubspaceBlock]:
-    """The stored q-blocks of a filtered complex."""
-    return {b.q: SubspaceBlock(b.h, b.cols) for b in c.blocks}
+    """The q-blocks of a filtered complex."""
+    return {b.q: SubspaceBlock(b.h, b.cols) for b in block_view(c).blocks}
 
 
 def compute(c) -> SpectralResult:
     """Pages 2..max(2, length + 2), the first page equal to the last as
     the collapse page, and the total homology per q."""
-    p_values = [g.h for g in c.generators]
-    length = (max(p_values) - min(p_values)) if p_values else 0
     blocks = q_blocks(c)
+    p_values = [p for block in blocks.values() for p in block.p_of]
+    length = (max(p_values) - min(p_values)) if p_values else 0
     pages = []
     for r in range(2, max(2, length + 2) + 1):
         dims, ranks = {}, {}

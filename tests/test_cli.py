@@ -405,6 +405,40 @@ def test_cache_keys_distinguish_flavor_and_basepoint(tmp_path, capsys):
     assert len(list(cache.glob("*.json"))) == 3
 
 
+def test_unreduced_records_share_one_entry_across_basepoints(
+        tmp_path, capsys, monkeypatch):
+    # the unreduced complex does not depend on the basepoint: one build
+    # and one entry serve all three, and a served record carries the
+    # diagram fields of its own request
+    def fresh(arc):
+        _, out, _ = run(capsys, "compute", "--pd", TREFOIL, "--unreduced",
+                        "--basepoint", arc)
+        record = json.loads(out)
+        del record["meta"]
+        return record
+
+    arcs = ["1", "3", "5"]
+    uncached = [fresh(arc) for arc in arcs]
+    assert len({json.dumps(r["diagram"]) for r in uncached}) == 3
+    real, builds = cli.build, []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build", counted)
+    cache = tmp_path / "cache"
+    for arc, want in zip(arcs, uncached):
+        code, out, _ = run(capsys, "compute", "--pd", TREFOIL, "--unreduced",
+                           "--basepoint", arc, "--cache", str(cache))
+        assert code == 0
+        record = json.loads(out)
+        del record["meta"]
+        assert record == want
+    assert len(builds) == 1
+    assert len(list(cache.glob("*.json"))) == 1
+
+
 def test_cache_corrupt_entry_is_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     run(capsys, "compute", "--pd", TREFOIL, "--cache", str(cache))

@@ -4,10 +4,10 @@ import pytest
 
 import d_oracle
 import global_layout
-from conftest import FIGURE_EIGHT, TREFOIL
+from conftest import FIGURE_EIGHT, TREFOIL, braid_closure
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
-from khss import cube, tqft
+from khss import cube, filtered, tqft
 from khss.cube import classify_edge, resolve
 from khss.diagram import parse_pd, reidemeister2
 from khss.filtered import (GradingError, SizeCapError, build, marked_diagram,
@@ -52,19 +52,18 @@ def test_q_homogeneity_blockwise():
     # d has jump 1 only; the composite differential D has every jump
     d = parse_pd(FIGURE_EIGHT)
     for reduced in (True, False):
-        for c in (build(d, reduced=reduced), d_oracle.build(d, reduced)):
-            assert global_layout.layout_faults(d, reduced, c) == []
-            # the jump-k parts raise h by exactly k and sum to the columns
-            by_q = {b.q: b for b in c.blocks}
-            total = {}
-            for k, block in c.components.items():
-                for (q, j), mask in block.items():
-                    h = by_q[q].h
-                    assert all(h[i] == h[j] + k
-                               for i in global_layout.bits(mask))
-                    total[(q, j)] = total.get((q, j), 0) ^ mask
-            assert total == {(b.q, j): col for b in c.blocks
-                             for j, col in enumerate(b.cols) if col}
+        c, composite = build(d, reduced=reduced), d_oracle.build(d, reduced)
+        for x in (c, composite):
+            assert global_layout.layout_faults(d, reduced, x) == []
+        # k is the h difference of an entry's generators in the block view
+        entries = global_layout.stored_entries(c)
+        assert {k for k, _, _ in entries} == {1}
+        assert ({k for k, _, _ in global_layout.stored_entries(composite)}
+                == {1, 2, 3, 4})
+        # the benchmark's components view is the stored columns, jump 1
+        assert list(c.components) == [1]
+        assert (sum(m.bit_count() for m in c.components[1].values())
+                == len(entries))
 
 
 def test_build_rejects_a_composite_that_changes_q(monkeypatch):
@@ -192,11 +191,53 @@ def test_bit_flip_breaks_d_squared():
     # negative control: corrupting one entry must be detected; target a
     # row whose own outgoing column is nonzero so the square cannot stay 0
     c = build(parse_pd(TREFOIL), reduced=True)
-    b, r = next((b, r) for b in c.blocks for r, col in enumerate(b.cols)
-                if col)
-    col = next(j for j in range(len(b.cols)) if j != r)
-    b.cols[col] ^= 1 << r
+    s, r = next((s, r) for s, t in c.with_targets() if t is not None
+                for r, col in enumerate(t.cols) if col)
+    s.cols[0] ^= 1 << r
     assert not verify_d_squared(c)
+
+
+def test_a_column_past_its_target_slice_is_caught():
+    c = build(parse_pd(TREFOIL), reduced=True)
+    s, t = next((s, t) for s, t in c.with_targets() if t is not None)
+    s.cols[0] |= 1 << t.size
+    assert not verify_d_squared(c)
+    assert global_layout.slice_faults(c) != []
+
+
+def test_build_creates_no_generator_objects(monkeypatch):
+    # the generators are derived from the slices' runs on demand
+    def refused(*args):
+        raise AssertionError("build made a KhGenerator")
+
+    d = parse_pd(FIGURE_EIGHT)
+    want = build(d).generators
+    monkeypatch.setattr(filtered, "KhGenerator", refused)
+    c = build(d)
+    monkeypatch.undo()
+    assert c.generators == want
+    assert c.n_generators == len(want)
+
+
+def mask_bytes_per_nonzero(c) -> float:
+    """Bytes of the stored column masks per nonzero of d."""
+    cols = [col for s in c.slices for col in s.cols]
+    return (sum(col.bit_length() for col in cols) / 8
+            / sum(col.bit_count() for col in cols))
+
+
+@pytest.mark.parametrize("word, strands, bound", [
+    ([1, 2] * 6, 3, 24),
+    ([1] * 11, 2, 74),  # T(2,11)
+    ([1, 2] * 7, 3, 104),
+])
+def test_mask_bytes_per_nonzero(word, strands, bound):
+    # a column is as wide as its target slice; over the q-block it was
+    # as wide as its row offset there: 47.6, 147 and 207 bytes per
+    # nonzero on these three
+    c = build(braid_closure(word, strands))
+    assert global_layout.slice_faults(c) == []
+    assert mask_bytes_per_nonzero(c) <= bound
 
 
 def test_size_cap():
@@ -240,7 +281,8 @@ def test_r2_square_diagonal_matches_path_composite():
     c = build(poked, reduced=False)
     composite = d_oracle.build(poked, reduced=False)
     assert verify_d_squared(c)
-    assert verify_d_squared(composite)
+    assert all(d_oracle.compose(b.cols, b.cols) == [0] * len(b.cols)
+               for b in composite.blocks)
     comp = diagonal_map(poked, 0b00, 0b11, reduced=False)
     want = {(2, (0b00, j), (0b11, i))
             for j, col in enumerate(comp)

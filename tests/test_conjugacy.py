@@ -4,6 +4,7 @@ conjugate as filtered complexes: G d = D G for the conjugator of
 """
 
 import d_oracle
+from block_view import block_view
 from conftest import TREFOIL, probe_closures
 from khss import tqft
 from khss.cube import classify_edge
@@ -13,7 +14,7 @@ from khss.filtered import build, marked_diagram, verify_d_squared
 
 def identity_conjugates(c, composite) -> bool:
     return all(d_oracle.conjugates(b, cb, [1 << j for j in range(len(b.cols))])
-               for b, cb in zip(c.blocks, composite.blocks))
+               for b, cb in zip(block_view(c).blocks, composite.blocks))
 
 
 def test_d_conjugates_to_D_on_the_corpus(store):

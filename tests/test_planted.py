@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subspace_oracle
-from khss.filtered import FilteredComplex, KhGenerator, QBlock
+from khss.filtered import BlockComplex, KhGenerator, QBlock
 from khss.spectral import Barcode, barcode, compute, page
 
 
@@ -143,7 +143,7 @@ def test_planted_complex_through_compute(planted):
         gens = [KhGenerator(i, 0, h, 2 * n) for i, h in enumerate(block.h)]
         cols = conjugate(block.planted_columns(), block.basis)
         blocks.append(QBlock(2 * n, gens, cols))
-    c = FilteredComplex(blocks)
+    c = BlockComplex(blocks)
     res = compute(c)
     heights = [h for block in planted for h in block.h]
     assert [pt.r for pt in res.pages] == list(

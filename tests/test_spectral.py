@@ -2,7 +2,8 @@ import pytest
 
 import naive
 import subspace_oracle
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL
+from block_view import block_view
+from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
 from khss.diagram import parse_pd, reidemeister1, reidemeister2
 from khss.filtered import build
 from khss.spectral import (
@@ -103,6 +104,21 @@ def test_subspace_oracle_agrees_with_compute(store):
                     == [(pt.r, pt.dims, pt.dr_ranks) for pt in ref.pages])
             assert res.collapse_page == ref.collapse_page
             assert res.total_homology == ref.total_homology
+
+
+def full_result(res):
+    return ([(pt.r, pt.dims, pt.dr_ranks) for pt in res.pages],
+            res.collapse_page, res.total_homology)
+
+
+def test_slices_give_the_pages_of_their_block_view(store):
+    # one reduction per slice against one per q-block of the same d
+    complexes = [store.complex(name, reduced) for name in store.names()
+                 for reduced in (True, False)]
+    complexes += [build(parse_pd(pd)) for pd in probe_closures()]
+    for c in complexes:
+        assert (full_result(compute(c))
+                == full_result(compute(block_view(c))))
 
 
 def test_r1_invariance():

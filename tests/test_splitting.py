@@ -11,10 +11,9 @@ one reduced edge rule, it is also the check that marking the extra
 unknot gives the unreduced theory.
 """
 
-import sys
 from collections import Counter
 
-from conftest import HOPF, ROOT, probe_closures
+from conftest import HOPF, braid_closure, probe_closures
 from khss.diagram import mirror, parse_pd
 from khss.filtered import build
 from khss.spectral import compute
@@ -43,15 +42,6 @@ def split_faults(unreduced, reduced) -> list[str]:
 
 def faults_of(d) -> list[str]:
     return split_faults(compute(build(d, reduced=False)), compute(build(d)))
-
-
-def braid_closure(word: list[int], strands: int):
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        from gen_corpus import braid_closure_pd
-    finally:
-        del sys.path[0]
-    return parse_pd(braid_closure_pd(word, strands))
 
 
 def test_splitting_on_the_corpus(store):
