@@ -33,7 +33,8 @@ from .diagram import (
 )
 from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
                        build, verify_d_squared)
-from .spectral import SpectralResult, basepoint_sweep, compare_pages, compute
+from .spectral import (SpectralResult, Verdict, basepoint_sweep,
+                       compare_pages, compute)
 from .tqft import Generator, GeneratorWord, check_triangle, grading_shift_word
 
 EXIT_OK = 0
@@ -51,19 +52,16 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- run records
 
-def diagram_hash(d: PlanarDiagram) -> str:
-    return hashlib.sha256(render(d).encode()).hexdigest()[:16]
-
-
 def diagram_fields(d: PlanarDiagram, name: str = "") -> dict:
     """The ``diagram`` part of a run record."""
+    pd = render(d)
     return {
         "name": name,
-        "pd": render(d),
+        "pd": pd,
         "crossings": len(d.crossings),
         "writhe": d.writhe,
         "basepoint": d.basepoint,
-        "hash": diagram_hash(d),
+        "hash": hashlib.sha256(pd.encode()).hexdigest()[:16],
     }
 
 
@@ -85,13 +83,6 @@ def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
 
 
 # --------------------------------------------------------------------- cache
-
-def cache_dir_from(args) -> Path | None:
-    if getattr(args, "cache", None):
-        return Path(args.cache)
-    env = os.environ.get("KH_CACHE_DIR")
-    return Path(env) if env else None
-
 
 def cache_key(d: PlanarDiagram, reduced: bool) -> str:
     """The unreduced complex does not depend on the basepoint, so an
@@ -154,53 +145,43 @@ def read_pd_argument(text: str) -> PlanarDiagram:
 
 
 def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
-    """``build`` with its errors mapped to exit codes."""
+    """``build`` with its errors mapped to exit codes, and d^2 = 0
+    checked."""
     try:
-        return build(d, reduced=reduced, max_generators=max_generators)
+        c = build(d, reduced=reduced, max_generators=max_generators)
     except SizeCapError as exc:
         raise CliError(str(exc), EXIT_SIZE)
     except StructureError as exc:
         raise CliError(f"invalid diagram: {exc}")
     except GradingError as exc:
         raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
+    if not verify_d_squared(c):
+        raise CliError("internal error: differential does not square to zero",
+                       EXIT_INTERNAL)
+    return c
 
 
 def _cache_dir(args) -> Path | None:
     """The command's cache directory, created; None when caching is off."""
-    cdir = cache_dir_from(args)
-    if cdir is not None:
-        try:
-            cdir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot use cache directory {cdir}: {exc}")
+    cache = getattr(args, "cache", None) or os.environ.get("KH_CACHE_DIR")
+    if not cache:
+        return None
+    cdir = Path(cache)
+    try:
+        cdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot use cache directory {cdir}: {exc}")
     return cdir
 
 
-def _record(d: PlanarDiagram, reduced: bool, max_generators: int,
-            name: str = "") -> dict:
-    """The run record of one diagram: build, d^2 check, pages."""
-    t0 = time.perf_counter()
-    c = _build(d, reduced, max_generators)
-    if not verify_d_squared(c):
-        raise CliError("internal error: differential does not square to zero",
-                       EXIT_INTERNAL)
-    result = compute(c)
-    return run_record(d, reduced, result, name, time.perf_counter() - t0)
-
-
-def _item_record(item: tuple[str, PlanarDiagram], reduced: bool,
-                 max_generators: int) -> dict:
-    """``_record`` of one (name, diagram) corpus row; module-level so a
-    worker process can unpickle it."""
+def _record(item: tuple[str, PlanarDiagram], reduced: bool,
+            max_generators: int) -> dict:
+    """The run record of one (name, diagram) item: build, d^2 check,
+    pages; module-level so a worker process can unpickle it."""
     name, d = item
-    return _record(d, reduced, max_generators, name)
-
-
-def _store(record: dict, cdir: Path, d: PlanarDiagram, reduced: bool) -> None:
-    try:
-        cache_store(record, cdir, d, reduced)
-    except OSError as exc:  # the record stands without its cache entry
-        print(f"warning: cache entry not written: {exc}", file=sys.stderr)
+    t0 = time.perf_counter()
+    result = compute(_build(d, reduced, max_generators))
+    return run_record(d, reduced, result, name, time.perf_counter() - t0)
 
 
 def _pool(workers: int):
@@ -242,7 +223,7 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
         if record is not None:  # an entry may be shared across basepoints
             record["diagram"] = diagram_fields(d, name)
     misses = [i for i, record in enumerate(records) if record is None]
-    work = functools.partial(_item_record, reduced=args.reduced,
+    work = functools.partial(_record, reduced=args.reduced,
                              max_generators=args.max_generators)
     todo = [items[i] for i in misses]
     workers = min(workers, len(misses), _cpus())
@@ -251,8 +232,13 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
         fresh = map(work, todo) if pool is None else pool.map(work, todo)
         for i, record in zip(misses, fresh):
             records[i] = record
-            if cdir is not None:
-                _store(record, cdir, items[i][1], args.reduced)
+            if cdir is None:
+                continue
+            try:
+                cache_store(record, cdir, items[i][1], args.reduced)
+            except OSError as exc:  # the record stands without its entry
+                print(f"warning: cache entry not written: {exc}",
+                      file=sys.stderr)
     except BrokenExecutor as exc:
         raise CliError(f"internal error: a worker process died: {exc}",
                        EXIT_INTERNAL)
@@ -309,18 +295,17 @@ def cmd_invariance(args) -> int:
     b = read_pd_argument(args.pd2)
     ra = compute(_build(a, args.reduced, args.max_generators))
     rb = compute(_build(b, args.reduced, args.max_generators))
-    verdict = compare_pages(ra, rb)
-    if verdict.equal:
-        print("equal")
-        return EXIT_OK
-    print(f"mismatch: {verdict.detail}", file=sys.stderr)
-    return EXIT_MISMATCH
+    return _verdict(compare_pages(ra, rb))
 
 
 def cmd_sweep(args) -> int:
     d = read_pd_argument(args.pd)
-    verdict = basepoint_sweep(
-        d, lambda dd: _build(dd, True, args.max_generators))
+    return _verdict(basepoint_sweep(
+        d, lambda dd: _build(dd, True, args.max_generators)))
+
+
+def _verdict(verdict: Verdict) -> int:
+    """Print an invariance verdict; its exit code."""
     if verdict.equal:
         print("equal")
         return EXIT_OK

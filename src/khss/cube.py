@@ -12,11 +12,10 @@ circle the flipped crossing does not touch has the same arcs at both
 ends of an edge, so those circles keep their relative order, and the
 edge maps pair them up in increasing index order.
 
-``walk`` resolves every vertex in one depth-first walk over the
-crossings, crossing 0 deepest, so the vertices come in increasing order.
-Its union-find merges by size and never compresses paths, so each
-crossing's unions are undone exactly on the way back up, and moving to
-the next vertex redoes only the crossings whose bits changed.
+``walk`` resolves every vertex in one recursive depth-first search over
+the crossings, crossing 0 deepest, so the vertices come in increasing
+order.  Its union-find merges by size and never compresses paths, so a
+crossing's unions are undone exactly once its subtree is done.
 ``resolve`` computes one vertex from scratch; both number the circles
 with ``_resolution``.
 
@@ -96,50 +95,37 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
 
 def walk(d: PlanarDiagram) -> Iterator[Resolution]:
     """The resolution of every vertex, in increasing order of ``u``."""
-    n = len(d.crossings)
     parent = list(range(d.arc_count + d.unknotted_extras + 1))
     size = [1] * len(parent)
     arcs = range(len(parent))
     pairings = [(smoothing_pairings(cr, 0), smoothing_pairings(cr, 1))
                 for cr in d.crossings]
-    undo: list[list[tuple[int, int]]] = [[] for _ in range(n)]
 
     def find(x: int) -> int:
         while parent[x] != x:
             x = parent[x]
         return x
 
-    def smooth(i: int, bit: int) -> None:
-        done = undo[i]
-        for x, y in pairings[i][bit]:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                if size[rx] < size[ry]:
-                    rx, ry = ry, rx
-                parent[ry] = rx
-                size[rx] += size[ry]
-                done.append((rx, ry))
+    def visit(i: int, u: int) -> Iterator[Resolution]:
+        if i < 0:
+            yield _resolution(d, u, [find(a) for a in arcs])
+            return
+        for bit in (0, 1):
+            done = []
+            for x, y in pairings[i][bit]:
+                rx, ry = find(x), find(y)
+                if rx != ry:
+                    if size[rx] < size[ry]:
+                        rx, ry = ry, rx
+                    parent[ry] = rx
+                    size[rx] += size[ry]
+                    done.append((rx, ry))
+            yield from visit(i - 1, u | bit << i)
+            for rx, ry in reversed(done):
+                parent[ry] = ry
+                size[rx] -= size[ry]
 
-    def unsmooth(i: int) -> None:
-        done = undo[i]
-        while done:
-            rx, ry = done.pop()
-            parent[ry] = ry
-            size[rx] -= size[ry]
-
-    for i in reversed(range(n)):
-        smooth(i, 0)
-    for u in range(1 << n):
-        if u:
-            # from u - 1 to u, bit j turns on and the bits below it off;
-            # crossing 0 is deepest, so those crossings are undone first
-            j = (u & -u).bit_length() - 1
-            for i in range(j + 1):
-                unsmooth(i)
-            smooth(j, 1)
-            for i in reversed(range(j)):
-                smooth(i, 0)
-        yield _resolution(d, u, [find(a) for a in arcs])
+    return visit(len(d.crossings) - 1, 0)
 
 
 def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:

@@ -16,6 +16,7 @@ from conftest import (FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path,
                       probe_closures)
 from khss import cli, tqft
 from khss.cli import main
+from khss.cube import classify_edge
 from khss.diagram import parse_pd
 
 
@@ -188,6 +189,24 @@ def test_invariance_parse_error(capsys):
 def test_sweep(capsys):
     code, out, _ = run(capsys, "sweep", "--pd", TREFOIL)
     assert code == 0 and "equal" in out
+
+
+def test_invariance_and_sweep_check_d_squared(capsys, monkeypatch):
+    # drop the entry monomial 0 -> monomial 0 from the edges shaped like
+    # the trefoil's at vertex 0, crossing 0, so that d^2 != 0
+    shape = classify_edge(parse_pd(TREFOIL), 0, 0)
+    real = tqft.edge_columns_reduced
+
+    def corrupted(e):
+        cols = real(e)
+        return [cols[0] ^ 1, *cols[1:]] if e == shape else cols
+
+    monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
+    for argv in (("invariance", "--pd", TREFOIL, "--pd2", TREFOIL),
+                 ("sweep", "--pd", TREFOIL)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert "differential does not square to zero" in err
 
 
 def test_probe_corpus(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import naive
@@ -37,6 +38,32 @@ def test_page_two_equals_oracle():
         for reduced in (True, False):
             c = build(parse_pd(text), reduced=reduced)
             assert page(c, 2).dims == khovanov_oracle(c).dims
+
+
+def dense_rank_dims(c):
+    """(h, q) -> size less the ranks out and in, each rank by dense
+    elimination of the slice's columns over its target slice."""
+    rank = {}
+    for s, target in c.with_targets():
+        m = target.size if target is not None else 0
+        dense = np.array([[(col >> r) & 1 for col in s.cols]
+                          for r in range(m)], dtype=np.uint8)
+        rank[(s.h, s.q)] = naive.rank_gf2(dense.reshape(m, s.size))
+    return {(s.h, s.q): dim for s in c.slices
+            if (dim := s.size - rank[(s.h, s.q)]
+                - rank.get((s.h - 1, s.q), 0))}
+
+
+def test_page_two_and_oracle_against_dense_rank(store):
+    # page 2 and khovanov_oracle both eliminate on bit masks; numpy's
+    # dense elimination by column pivots shares no code with either
+    complexes = [store.complex(name, reduced) for name in store.names(8)
+                 for reduced in (True, False)]
+    complexes += [build(parse_pd(pd)) for pd in probe_closures()]
+    for c in complexes:
+        dims = dense_rank_dims(c)
+        assert compute(c).page(2).dims == dims
+        assert khovanov_oracle(c).dims == dims
 
 
 def test_page_index_validation():
