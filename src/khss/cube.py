@@ -14,10 +14,11 @@ edge maps pair them up in increasing index order.
 
 ``walk`` resolves every vertex in one recursive depth-first search over
 the crossings, crossing 0 deepest, so the vertices come in increasing
-order.  Its union-find merges by size and never compresses paths, so a
-crossing's unions are undone exactly once its subtree is done.
-``resolve`` computes one vertex from scratch; both number the circles
-with ``_resolution``.
+order.  It keeps the root of every arc current (quick-find): a union
+relabels the arcs of the smaller class, and undoing it once the
+crossing's subtree is done relabels them back, so a vertex reads its
+roots without a find.  ``resolve`` computes one vertex from scratch;
+both number the circles with ``_resolution``.
 
 An edge is therefore described by its shape alone: merge or split, the
 source's circle count, and the indices of the circles the crossing
@@ -27,14 +28,13 @@ edges of the same shape share one map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, NamedTuple
 
 from .diagram import PlanarDiagram, StructureError
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """One cube vertex: smoothing choice and the circle of every arc."""
 
     u: int
@@ -65,14 +65,16 @@ def smoothing_pairings(crossing: tuple[int, int, int, int],
 
 
 def _resolution(d: PlanarDiagram, u: int, roots: list[int]) -> Resolution:
-    """Number the circles of vertex ``u`` from the union-find root of
-    every arc: the marked circle is 0, the rest follow by lowest arc."""
+    """Number the circles of vertex ``u`` from the root of every arc's
+    class: the marked circle is 0, the rest follow by lowest arc, and
+    arc 0, which no crossing joins, is -1."""
     marked = d.basepoint if d.basepoint is not None else d.arc_count + 1
     if not 0 < marked < len(roots):
         raise StructureError("basepoint arc missing from every circle")
-    number = {roots[marked]: 0}  # root -> circle index, new roots in arc order
-    labels = [number.setdefault(r, len(number)) for r in roots[1:]]
-    return Resolution(u, len(number), (-1, *labels))
+    # root -> circle index, the roots in order of first arc
+    first = dict.fromkeys([roots[0], roots[marked], *roots])
+    number = dict(zip(first, count(-1)))
+    return Resolution(u, len(first) - 1, tuple(map(number.__getitem__, roots)))
 
 
 def resolve(d: PlanarDiagram, u: int) -> Resolution:
@@ -95,35 +97,32 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
 
 def walk(d: PlanarDiagram) -> Iterator[Resolution]:
     """The resolution of every vertex, in increasing order of ``u``."""
-    parent = list(range(d.arc_count + d.unknotted_extras + 1))
-    size = [1] * len(parent)
-    arcs = range(len(parent))
+    root = list(range(d.arc_count + d.unknotted_extras + 1))
+    members = [[a] for a in root]  # the arcs of each root's class
     pairings = [(smoothing_pairings(cr, 0), smoothing_pairings(cr, 1))
                 for cr in d.crossings]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     def visit(i: int, u: int) -> Iterator[Resolution]:
         if i < 0:
-            yield _resolution(d, u, [find(a) for a in arcs])
+            yield _resolution(d, u, root)
             return
         for bit in (0, 1):
             done = []
             for x, y in pairings[i][bit]:
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    if size[rx] < size[ry]:
-                        rx, ry = ry, rx
-                    parent[ry] = rx
-                    size[rx] += size[ry]
-                    done.append((rx, ry))
+                big, small = root[x], root[y]
+                if big != small:
+                    if len(members[big]) < len(members[small]):
+                        big, small = small, big
+                    for a in members[small]:
+                        root[a] = big
+                    members[big] += members[small]
+                    done.append((big, small))
             yield from visit(i - 1, u | bit << i)
-            for rx, ry in reversed(done):
-                parent[ry] = ry
-                size[rx] -= size[ry]
+            for big, small in reversed(done):
+                moved = members[small]
+                del members[big][-len(moved):]
+                for a in moved:
+                    root[a] = small
 
     return visit(len(d.crossings) - 1, 0)
 
@@ -139,20 +138,27 @@ def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:
 def edge_between(d: PlanarDiagram, src: Resolution, dst: Resolution,
                  crossing: int) -> EdgeCobordism:
     """The shape of the edge from ``src`` to ``dst``, the resolutions on
-    either side of ``crossing``, checked to be a local merge or split.
-
-    For X(a,b,c,d) the 0-smoothing joins a~b and c~d, so the source
-    circles touched are those of a and c; the 1-smoothing joins a~d and
-    b~c, so the target circles touched are those of a and b."""
+    either side of ``crossing``."""
     a, b, c, _ = d.crossings[crossing]
-    s, s2 = src.labels[a], src.labels[c]
-    t, t2 = dst.labels[a], dst.labels[b]
-    diff = dst.circle_count - src.circle_count
+    return edge_shape(src.labels[a], src.labels[c], dst.labels[a],
+                      dst.labels[b], src.circle_count, dst.circle_count)
+
+
+def edge_shape(s: int, s2: int, t: int, t2: int,
+               circles: int, circles2: int) -> EdgeCobordism:
+    """The shape of an edge at X(a,b,c,d) from the circles of a and c
+    in the source, of a and b in the target, and the circle counts of
+    both, checked to be a local merge or split.
+
+    The 0-smoothing joins a~b and c~d, so the source circles touched
+    are those of a and c; the 1-smoothing joins a~d and b~c, so the
+    target circles touched are those of a and b."""
+    diff = circles2 - circles
     if diff == -1 and s != s2 and t == t2:
-        return EdgeCobordism("merge", src.circle_count,
+        return EdgeCobordism("merge", circles,
                              (s, s2) if s < s2 else (s2, s), (t,))
     if diff == 1 and s == s2 and t != t2:
-        return EdgeCobordism("split", src.circle_count, (s,),
+        return EdgeCobordism("split", circles, (s,),
                              (t, t2) if t < t2 else (t2, t))
     # count jumps of != 1, or +-1 produced away from the crossing, both
     # mean the PD text has no planar realization

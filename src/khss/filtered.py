@@ -27,7 +27,8 @@ letters x.  An edge u -> w preserves q, so every target of a source
 monomial t lies in the one run of w with |t| + (1 + L_w - L_u) / 2
 letters x (L the letter count of a vertex).  In rank coordinates the
 image of t depends only on the edge's shape, and writing it into the
-target slice is one shift by the start of that run.
+target slice is one shift by the start of that run.  ``build`` keys an
+edge by what its shape is read from: four circle labels, two letter counts.
 
 A general filtered complex, whose differential may raise h by any
 amount, is a ``BlockComplex``: one ``QBlock`` per q, ordered by h,
@@ -179,10 +180,12 @@ def build(d: PlanarDiagram, reduced: bool = True,
     n = len(d.crossings)
     # every vertex has a generator, so the running count reaches a cap
     # below 2^n before the whole cube is resolved
-    resolutions, total = [], 0
+    labels, letters, top, total = [], [], [], 0
     for res in cube.walk(d):
-        resolutions.append(res)
-        total += 1 << (res.circle_count - 1)
+        labels.append(res.labels)
+        letters.append(res.circle_count - 1)
+        top.append(generator_gradings(d, res, 0))
+        total += 1 << letters[-1]
         if total > max_generators:
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")
@@ -192,9 +195,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
     by_letters: dict[int, tuple[list[list[int]], list[int]]] = {}
     runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     sizes: dict[tuple[int, int], int] = {}
-    letters = [res.circle_count - 1 for res in resolutions]
     base: list[list[int]] = []
-    top = [generator_gradings(d, res, 0) for res in resolutions]
     for u, (h, top_q) in enumerate(top):
         if letters[u] not in by_letters:
             by_letters[letters[u]] = _letter_runs(letters[u])
@@ -242,16 +243,21 @@ def build(d: PlanarDiagram, reduced: bool = True,
     # d = sum of the edge maps: one OR per source monomial of each edge,
     # since every entry of d lies on exactly one edge
     shapes: dict[cube.EdgeCobordism, list[tuple[int, int, int, int]]] = {}
-    for i in range(n):
+    keyed: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
+    for i, (a, b, c, _) in enumerate(d.crossings):
         step = 1 << i
         for u in range(1 << n):
             if u & step:
                 continue
             w = u | step
-            e = cube.edge_between(d, resolutions[u], resolutions[w], i)
-            terms = shapes.get(e)
-            if terms is None:
-                terms = shapes[e] = shape_terms(e, u, i)
+            src, dst = labels[u], labels[w]
+            key = (src[a], src[c], dst[a], dst[b], letters[u], letters[w])
+            terms = keyed.get(key)
+            if terms is None:  # a new key: classify, then a new shape
+                e = cube.edge_shape(*key[:4], key[4] + 1, key[5] + 1)
+                if e not in shapes:
+                    shapes[e] = shape_terms(e, u, i)
+                terms = keyed[key] = shapes[e]
             src_cols, src_base, dst_base = run_cols[u], base[u], base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]

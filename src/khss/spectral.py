@@ -22,7 +22,11 @@ generators at h less the pairs leaving and entering h.
 The complex ``filtered.build`` gives raises h by exactly 1, so a column
 at h only ever meets columns at h: the reduction runs one (h, q) slice
 at a time, over the rows of the slice (h + 1, q) followed by its own,
-and gives the pairs of the whole q-block.  A ``filtered.BlockComplex``,
+and gives the pairs of the whole q-block.  Each q's slices go by
+increasing h, with clearing (Chen and Kerber, "Persistent homology
+computation with a twist", 2011): as d^2 = 0, the column at the pivot
+row of a reduced column of the slice (h - 1, q) is a sum of earlier
+columns of the slice (h, q), so it is skipped.  A ``filtered.BlockComplex``,
 whose differential may raise h by more, is reduced a block at a time.
 
 Theorem: over GF(2) the paper's differential D, given by
@@ -40,7 +44,7 @@ every d_j; induct on the crossings.  ``filtered.build`` stores d;
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
 from .filtered import BlockComplex, FilteredComplex
@@ -119,28 +123,35 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
     generators must be ordered by h, highest first, and the differential
     must raise h.
     """
-    pairs = _pairs(h, cols)
+    pairs, _ = _pairs(h, cols)
     return Barcode(pairs, _unpaired(Counter(h), pairs))
 
 
-def _pairs(h: Sequence[int], cols: Sequence[int]) -> Counter:
-    """(h of the source, gap) -> count over the pairs of ``barcode``."""
+def _pairs(h: Sequence[int], cols: Sequence[int],
+           clear: Container[int] = ()) -> tuple[Counter, dict[int, int]]:
+    """(h of the source, gap) -> count over the pairs of ``barcode``, and
+    the reduced column at each pivot row.  The columns indexed in
+    ``clear`` are checked but not reduced: the caller knows they
+    reduce to zero."""
     if list(h) != sorted(h, reverse=True):
         raise ValueError("generators must be ordered by h, highest first")
     reduced: dict[int, int] = {}  # pivot -> reduced column
     pairs: Counter = Counter()
     for i, col in enumerate(cols):
+        # reducing moves the highest row only to an h no lower
+        if col and h[col.bit_length() - 1] <= h[i]:
+            raise ValueError("differential does not raise h")
+        if i in clear:
+            continue
         while col:
             low = col.bit_length() - 1
             other = reduced.get(low)
             if other is None:
-                if h[low] <= h[i]:
-                    raise ValueError("differential does not raise h")
                 reduced[low] = col
                 pairs[(h[i], h[low] - h[i])] += 1
                 break
             col ^= other
-    return pairs
+    return pairs, reduced
 
 
 def _unpaired(sizes: Counter, pairs: Counter) -> Counter:
@@ -155,8 +166,8 @@ def _unpaired(sizes: Counter, pairs: Counter) -> Counter:
 
 def khovanov_oracle(c: FilteredComplex) -> PageTable:
     """Page 2 computed directly as homology of d (the direct route for
-    page(c, 2)): each slice's columns are ranked as stored, by
-    elimination on their highest row, and the dimension at (h, q) is
+    page(c, 2)): each slice's columns are ranked by plain elimination on
+    their highest row, with no clearing, and the dimension at (h, q) is
     the slice's size minus the ranks out of it and into it."""
     rank: dict[tuple[int, int], int] = {}
     for s in c.slices:
@@ -181,16 +192,20 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 def _barcodes(c: FilteredComplex | BlockComplex) -> dict[int, Barcode]:
     """q -> barcode of the generators of that q.  A column of a slice
     only meets columns of the same slice, so each slice is reduced on
-    its own, its target slice's rows first; the unpaired generators
-    are counted from the sizes."""
+    its own, its target slice's rows first, with clearing; the unpaired
+    generators are counted from the sizes."""
     if isinstance(c, BlockComplex):
         return {b.q: barcode(b.h, b.cols) for b in c.blocks}
     pairs: dict[int, Counter] = defaultdict(Counter)
     sizes: dict[int, Counter] = defaultdict(Counter)
-    for s, target in c.with_targets():
+    pivots, pivots_in = {}, None  # the last slice's pivots, and their slice
+    for s, target in reversed(list(c.with_targets())):
         m = target.size if target is not None else 0
-        pairs[s.q].update(
-            _pairs([s.h + 1] * m + [s.h] * s.size, [0] * m + s.cols))
+        clear = {m + y for y in pivots} if pivots_in == (s.h, s.q) else ()
+        got, pivots = _pairs([s.h + 1] * m + [s.h] * s.size,
+                             [0] * m + s.cols, clear)
+        pivots_in = (s.h + 1, s.q)
+        pairs[s.q].update(got)
         sizes[s.q][s.h] += s.size
     return {q: Barcode(pairs[q], _unpaired(sizes[q], pairs[q]))
             for q in sizes}
@@ -226,7 +241,8 @@ def total_homology(c: FilteredComplex | BlockComplex) -> dict[int, int]:
 
 
 def compute(c: FilteredComplex | BlockComplex) -> SpectralResult:
-    """All pages from 2 to stabilization, collapse page, abutment."""
+    """All pages from 2 to stabilization, collapse page, abutment.  A
+    ``FilteredComplex`` must have d^2 = 0 (``cli._build`` checks it)."""
     barcodes = _barcodes(c)
     heights = set().union(*(b.heights for b in barcodes.values()))
     length = max(heights) - min(heights) if heights else 0

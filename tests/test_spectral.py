@@ -5,6 +5,7 @@ import naive
 import subspace_oracle
 from block_view import block_view
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
+from khss import spectral
 from khss.diagram import parse_pd, reidemeister1, reidemeister2
 from khss.filtered import build
 from khss.spectral import (
@@ -146,6 +147,65 @@ def test_slices_give_the_pages_of_their_block_view(store):
     for c in complexes:
         assert (full_result(compute(c))
                 == full_result(compute(block_view(c))))
+
+
+def plain_elimination(cols):
+    """Eliminate the columns in order on their highest row: the pivot
+    rows, and the indices of the columns that reduce to zero."""
+    pivots, zero = {}, set()
+    for j, col in enumerate(cols):
+        while col and (other := pivots.get(col.bit_length() - 1)):
+            col ^= other
+        if col:
+            pivots[col.bit_length() - 1] = col
+        else:
+            zero.add(j)
+    return set(pivots), zero
+
+
+def cleared_columns(c, monkeypatch):
+    """Each slice of ``c`` with the local indices of the columns that
+    ``compute`` skips in it, in the order it reduces the slices."""
+    real, calls = spectral._pairs, []
+
+    def recorded(h, cols, clear=()):
+        m = h.count(h[-1] + 1)  # the target slice's rows come first
+        calls.append((cols[m:], {i - m for i in clear}))
+        return real(h, cols, clear)
+
+    monkeypatch.setattr(spectral, "_pairs", recorded)
+    compute(c)
+    monkeypatch.undo()
+    # each q's slices by increasing h
+    order = c.slices[::-1]
+    assert [cols for cols, _ in calls] == [s.cols for s in order]
+    return [(s, skipped) for s, (_, skipped) in zip(order, calls)]
+
+
+def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
+    complexes = [store.complex(name, reduced) for name in store.names()
+                 for reduced in (True, False)]
+    complexes += [build(parse_pd(pd)) for pd in probe_closures()]
+    total = 0
+    for c in complexes:
+        pivots = {(s.h, s.q): plain_elimination(s.cols) for s in c.slices}
+        for s, skipped in cleared_columns(c, monkeypatch):
+            below, _ = pivots.get((s.h - 1, s.q), (set(), set()))
+            assert len(skipped) == len(below)
+            assert skipped <= pivots[(s.h, s.q)][1]
+            total += len(skipped)
+    assert total > 0
+
+
+def test_a_cleared_column_past_its_target_slice_is_caught(monkeypatch):
+    c = build(parse_pd(FIGURE_EIGHT), reduced=False)
+    s, skipped = next((s, skipped) for s, skipped
+                      in cleared_columns(c, monkeypatch) if skipped)
+    width = next((t.size for u, t in c.with_targets()
+                  if u is s and t is not None), 0)
+    s.cols[min(skipped)] |= 1 << width
+    with pytest.raises(ValueError, match="differential does not raise h"):
+        compute(c)
 
 
 def test_r1_invariance():
