@@ -123,6 +123,8 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
     generators must be ordered by h, highest first, and the differential
     must raise h.
     """
+    if list(h) != sorted(h, reverse=True):
+        raise ValueError("generators must be ordered by h, highest first")
     pairs, _ = _pairs(h, cols)
     return Barcode(pairs, _unpaired(Counter(h), pairs))
 
@@ -132,9 +134,8 @@ def _pairs(h: Sequence[int], cols: Sequence[int],
     """(h of the source, gap) -> count over the pairs of ``barcode``, and
     the reduced column at each pivot row.  The columns indexed in
     ``clear`` are checked but not reduced: the caller knows they
-    reduce to zero."""
-    if list(h) != sorted(h, reverse=True):
-        raise ValueError("generators must be ordered by h, highest first")
+    reduce to zero.  The caller orders the generators by h, highest
+    first."""
     reduced: dict[int, int] = {}  # pivot -> reduced column
     pairs: Counter = Counter()
     for i, col in enumerate(cols):

@@ -114,6 +114,44 @@ def test_build_evaluates_each_edge_shape_once(store, monkeypatch, reduced):
     assert set(calls) == shapes
 
 
+def test_a_second_build_reads_the_shapes_of_the_first(store, monkeypatch):
+    # the shape table lasts as long as the process: a second build of
+    # the same diagram under the same rule evaluates no shape again
+    d = store.corpus["9_1"]
+    real, calls = tqft.edge_columns_reduced, []
+
+    def counted(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(tqft, "edge_columns_reduced", counted)
+    first = build(d)
+    assert calls
+    calls.clear()
+    second = build(d)
+    assert calls == []
+    assert second.slices == first.slices
+
+
+def test_a_bad_shape_fails_every_build(monkeypatch):
+    # a failed shape is not kept: every build meets it again, and names
+    # the first edge of that shape, at vertex 0 and crossing 0
+    real = tqft.edge_columns_reduced
+    d = parse_pd(TREFOIL)
+    shape = classify_edge(d, 0, 0)
+
+    def corrupted(e):
+        cols = real(e)
+        return [cols[0] ^ 0b11, *cols[1:]] if e == shape else cols
+
+    monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
+    for _ in range(2):
+        with pytest.raises(GradingError,
+                           match="edge from vertex 0 at crossing 0 "
+                                 "does not preserve q"):
+            build(d)
+
+
 def assert_matches_global_layout(d, reduced):
     """build stores the k = 1 entries of the per-pair oracle, and the
     composite differential of d_oracle stores all of them."""
