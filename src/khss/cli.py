@@ -2,7 +2,7 @@
 grading subcommands.
 
 Exit codes: 0 success, 1 internal invariant violation, 2 parse/IO/usage
-error, 3 size cap exceeded, 4 invariance mismatch.
+error, 3 size cap exceeded or out of memory, 4 invariance mismatch.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
                        build, verify_d_squared)
 from .spectral import (SpectralResult, Verdict, basepoint_sweep,
                        compare_pages, compute)
-from .tqft import Generator, GeneratorWord, check_triangle, grading_shift_word
+from .tqft import (GENERATOR_ARITY, Generator, GeneratorWord, check_triangle,
+                   grading_shift_word)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -135,8 +136,8 @@ def cache_load(directory: Path, d: PlanarDiagram, reduced: bool) -> dict | None:
 def read_pd_argument(text: str) -> PlanarDiagram:
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text()
-        except OSError as exc:
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read PD file: {exc}")
     try:
         return parse_pd(text)
@@ -149,13 +150,18 @@ def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
     checked."""
     try:
         c = build(d, reduced=reduced, max_generators=max_generators)
+        squares_to_zero = verify_d_squared(c)
     except SizeCapError as exc:
         raise CliError(str(exc), EXIT_SIZE)
+    except MemoryError:
+        raise CliError("out of memory building or checking the complex; "
+                       "lower --max-generators or raise the memory limit",
+                       EXIT_SIZE)
     except StructureError as exc:
         raise CliError(f"invalid diagram: {exc}")
     except GradingError as exc:
         raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
-    if not verify_d_squared(c):
+    if not squares_to_zero:
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)
     return c
@@ -313,30 +319,21 @@ def _verdict(verdict: Verdict) -> int:
     return EXIT_MISMATCH
 
 
-def random_word(rng: random.Random, max_len: int = 6,
-                max_strands: int = 5) -> GeneratorWord:
-    """A composable word of elementary generators on small unlinks."""
-    n = rng.randint(1, max_strands)
+_WORD_LEN = 6
+_WORD_STRANDS = 5
+
+
+def random_word(rng: random.Random) -> GeneratorWord:
+    """A composable word of elementary generators on small unlinks, of
+    at most ``_WORD_STRANDS`` + 1 components."""
+    n = rng.randint(1, _WORD_STRANDS)
     gens: list[Generator] = []
-    for _ in range(rng.randint(1, max_len)):
-        options = []
-        if n + 1 <= max_strands + 1:
-            options.append(("V", n, None))
-            options.append(("Birth", n, None))
-        if n >= 2:
-            options.append(("Lam", n, None))
-            options.append(("Death", n, None))
-            if n + 1 <= max_strands + 1:
-                options.append(("IV", n, None))
-        if n >= 3:
-            options.append(("ILam", n, None))
-            options.append(("X", n, rng.randint(2, n - 1)))
-        kind, size, i = rng.choice(options)
-        gens.append(Generator(kind, size, i))
-        if kind in ("V", "Birth", "IV"):
-            n += 1
-        elif kind in ("Lam", "ILam", "Death"):
-            n -= 1
+    for _ in range(rng.randint(1, _WORD_LEN)):
+        kind = rng.choice([k for k, (least, step) in GENERATOR_ARITY.items()
+                           if least <= n and n + step <= _WORD_STRANDS + 1])
+        gens.append(Generator(kind, n,
+                              rng.randint(2, n - 1) if kind == "X" else None))
+        n = gens[-1].target_size
     return GeneratorWord(tuple(gens))
 
 

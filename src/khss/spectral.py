@@ -20,14 +20,16 @@ the target of one, or unpaired, so the unpaired ones at h number the
 generators at h less the pairs leaving and entering h.
 
 The complex ``filtered.build`` gives raises h by exactly 1, so a column
-at h only ever meets columns at h: the reduction runs one (h, q) slice
-at a time, over the rows of the slice (h + 1, q) followed by its own,
-and gives the pairs of the whole q-block.  Each q's slices go by
-increasing h, with clearing (Chen and Kerber, "Persistent homology
-computation with a twist", 2011): as d^2 = 0, the column at the pivot
-row of a reduced column of the slice (h - 1, q) is a sum of earlier
-columns of the slice (h, q), so it is skipped.  A ``filtered.BlockComplex``,
-whose differential may raise h by more, is reduced a block at a time.
+at h only ever meets columns at h, and every pair has gap 1: the
+reduction runs one (h, q) slice at a time, on the slice's own column
+list, whose rows are the local indices of the slice (h + 1, q).  Each
+q's slices go by increasing h, with clearing (Chen and Kerber,
+"Persistent homology computation with a twist", 2011): as d^2 = 0, the
+column at the pivot row of a reduced column of the slice (h - 1, q) is
+a sum of earlier columns of the slice (h, q), so it is skipped.  Those
+pivot rows are local indices of the slice (h, q), so they index its
+columns as they stand.  A ``filtered.BlockComplex``, whose differential
+may raise h by more, is reduced a block at a time.
 
 Theorem: over GF(2) the paper's differential D, given by
 I + D = (1 + d_{n-1}) ... (1 + d_0) with d_i the edge maps in direction
@@ -125,23 +127,22 @@ def barcode(h: Sequence[int], cols: Sequence[int]) -> Barcode:
     """
     if list(h) != sorted(h, reverse=True):
         raise ValueError("generators must be ordered by h, highest first")
-    pairs, _ = _pairs(h, cols)
+    # the highest row of a column is its lowest h
+    if any(col and h[col.bit_length() - 1] <= h[i]
+           for i, col in enumerate(cols)):
+        raise ValueError("differential does not raise h")
+    pairs = Counter((h[i], h[low] - h[i]) for low, i in _reduce(cols).items())
     return Barcode(pairs, _unpaired(Counter(h), pairs))
 
 
-def _pairs(h: Sequence[int], cols: Sequence[int],
-           clear: Container[int] = ()) -> tuple[Counter, dict[int, int]]:
-    """(h of the source, gap) -> count over the pairs of ``barcode``, and
-    the reduced column at each pivot row.  The columns indexed in
-    ``clear`` are checked but not reduced: the caller knows they
-    reduce to zero.  The caller orders the generators by h, highest
-    first."""
-    reduced: dict[int, int] = {}  # pivot -> reduced column
-    pairs: Counter = Counter()
+def _reduce(cols: Sequence[int],
+            clear: Container[int] = ()) -> dict[int, int]:
+    """Reduce the columns left to right on their highest row: pivot row
+    -> index of the column reduced onto it.  The columns indexed in
+    ``clear`` are skipped: the caller knows they reduce to zero."""
+    reduced: dict[int, int] = {}  # pivot row -> reduced column
+    owner: dict[int, int] = {}
     for i, col in enumerate(cols):
-        # reducing moves the highest row only to an h no lower
-        if col and h[col.bit_length() - 1] <= h[i]:
-            raise ValueError("differential does not raise h")
         if i in clear:
             continue
         while col:
@@ -149,10 +150,10 @@ def _pairs(h: Sequence[int], cols: Sequence[int],
             other = reduced.get(low)
             if other is None:
                 reduced[low] = col
-                pairs[(h[i], h[low] - h[i])] += 1
+                owner[low] = i
                 break
             col ^= other
-    return pairs, reduced
+    return owner
 
 
 def _unpaired(sizes: Counter, pairs: Counter) -> Counter:
@@ -192,21 +193,23 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 
 def _barcodes(c: FilteredComplex | BlockComplex) -> dict[int, Barcode]:
     """q -> barcode of the generators of that q.  A column of a slice
-    only meets columns of the same slice, so each slice is reduced on
-    its own, its target slice's rows first, with clearing; the unpaired
-    generators are counted from the sizes."""
+    only meets columns of the same slice, so each slice's column list is
+    reduced in place, over the rows of its target slice, skipping the
+    columns at the pivot rows of the slice below; each pivot is a pair
+    of gap 1, and the unpaired generators are counted from the sizes."""
     if isinstance(c, BlockComplex):
         return {b.q: barcode(b.h, b.cols) for b in c.blocks}
     pairs: dict[int, Counter] = defaultdict(Counter)
     sizes: dict[int, Counter] = defaultdict(Counter)
-    pivots, pivots_in = {}, None  # the last slice's pivots, and their slice
+    below, last = {}, None  # the last slice's pivot rows, and its (h, q)
     for s, target in reversed(list(c.with_targets())):
-        m = target.size if target is not None else 0
-        clear = {m + y for y in pivots} if pivots_in == (s.h, s.q) else ()
-        got, pivots = _pairs([s.h + 1] * m + [s.h] * s.size,
-                             [0] * m + s.cols, clear)
-        pivots_in = (s.h + 1, s.q)
-        pairs[s.q].update(got)
+        width = target.size if target is not None else 0
+        if max(map(int.bit_length, s.cols), default=0) > width:
+            raise ValueError("differential does not raise h")
+        below = _reduce(s.cols, below if last == (s.h - 1, s.q) else ())
+        last = (s.h, s.q)
+        if below:
+            pairs[s.q][(s.h, 1)] += len(below)
         sizes[s.q][s.h] += s.size
     return {q: Barcode(pairs[q], _unpaired(sizes[q], pairs[q]))
             for q in sizes}

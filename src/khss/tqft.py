@@ -101,7 +101,10 @@ def compose_columns(first: list[int], second: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Generators of the cobordism category on marked unlinks
 
-GENERATOR_KINDS = ("V", "Lam", "X", "IV", "ILam", "Birth", "Death")
+# kind -> (fewest source components, change in the component count)
+GENERATOR_ARITY = {"V": (1, 1), "Lam": (2, -1), "X": (3, 0), "IV": (2, 1),
+                   "ILam": (3, -1), "Birth": (1, 1), "Death": (2, -1)}
+GENERATOR_KINDS = tuple(GENERATOR_ARITY)
 
 
 @dataclass(frozen=True)
@@ -118,19 +121,12 @@ class Generator:
     i: int | None = None
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
+        if self.kind not in GENERATOR_ARITY:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         k, n = self.kind, self.n
-        if k == "V" and n < 1:
-            raise ValueError("V needs n >= 1")
-        if k in ("Lam", "Death") and n < 2:
-            raise ValueError(f"{k} needs n >= 2")
-        if k == "IV" and n < 2:
-            raise ValueError("IV needs n >= 2")
-        if k == "ILam" and n < 3:
-            raise ValueError("ILam needs n >= 3")
-        if k == "Birth" and n < 1:
-            raise ValueError("Birth needs n >= 1")
+        least = GENERATOR_ARITY[k][0]
+        if n < least:
+            raise ValueError(f"{k} needs n >= {least}")
         if k == "X":
             if self.i is None or not 2 <= self.i <= n - 1:
                 raise ValueError(
@@ -145,11 +141,7 @@ class Generator:
 
     @property
     def target_size(self) -> int:
-        if self.kind in ("V", "IV", "Birth"):
-            return self.n + 1
-        if self.kind in ("Lam", "ILam", "Death"):
-            return self.n - 1
-        return self.n
+        return self.n + GENERATOR_ARITY[self.kind][1]
 
 
 def hfl_columns(g: Generator) -> list[int]:

@@ -91,6 +91,14 @@ def test_compute_unreadable_file_exit_2(capsys):
     assert code == 2
 
 
+def test_compute_undecodable_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "d.pd"
+    f.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "compute", "--pd", f"@{f}")
+    assert code == 2 and not out
+    assert "cannot read PD file" in err
+
+
 def test_compute_pd_from_file(tmp_path, capsys):
     f = tmp_path / "d.pd"
     f.write_text(TREFOIL)
@@ -104,6 +112,17 @@ def test_size_cap_exit_3(capsys):
                        "--max-generators", "4")
     assert code == 3
     assert "generators" in err
+
+
+def test_out_of_memory_exit_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build", exhausted)
+    code, out, err = run(capsys, "compute", "--pd", TREFOIL)
+    assert code == 3 and not out
+    assert err.startswith("kh: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_invariance_size_cap_exit_3(capsys):

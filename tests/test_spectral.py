@@ -163,23 +163,35 @@ def plain_elimination(cols):
     return set(pivots), zero
 
 
+def reduced_slices(c, monkeypatch):
+    """The (cols, clear) of each ``_reduce`` call ``compute`` makes on
+    ``c``, and ``c``'s slices in the order it reduces them."""
+    real, calls = spectral._reduce, []
+
+    def recorded(cols, clear=()):
+        calls.append((cols, set(clear)))
+        return real(cols, clear)
+
+    monkeypatch.setattr(spectral, "_reduce", recorded)
+    compute(c)
+    monkeypatch.undo()
+    return calls, c.slices[::-1]  # each q's slices by increasing h
+
+
 def cleared_columns(c, monkeypatch):
     """Each slice of ``c`` with the local indices of the columns that
     ``compute`` skips in it, in the order it reduces the slices."""
-    real, calls = spectral._pairs, []
-
-    def recorded(h, cols, clear=()):
-        m = h.count(h[-1] + 1)  # the target slice's rows come first
-        calls.append((cols[m:], {i - m for i in clear}))
-        return real(h, cols, clear)
-
-    monkeypatch.setattr(spectral, "_pairs", recorded)
-    compute(c)
-    monkeypatch.undo()
-    # each q's slices by increasing h
-    order = c.slices[::-1]
+    calls, order = reduced_slices(c, monkeypatch)
     assert [cols for cols, _ in calls] == [s.cols for s in order]
     return [(s, skipped) for s, (_, skipped) in zip(order, calls)]
+
+
+def test_each_slice_is_reduced_in_its_stored_column_list(store, monkeypatch):
+    for reduced in (True, False):
+        calls, order = reduced_slices(store.complex("4_1", reduced),
+                                      monkeypatch)
+        assert len(calls) == len(order)
+        assert all(cols is s.cols for (cols, _), s in zip(calls, order))
 
 
 def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
