@@ -18,7 +18,6 @@ import random
 import sys
 import tempfile
 import time
-from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import __version__
@@ -183,29 +182,11 @@ def _cache_dir(args) -> Path | None:
 def _record(item: tuple[str, PlanarDiagram], reduced: bool,
             max_generators: int) -> dict:
     """The run record of one (name, diagram) item: build, d^2 check,
-    pages; module-level so a worker process can unpickle it."""
+    pages."""
     name, d = item
     t0 = time.perf_counter()
     result = compute(_build(d, reduced, max_generators))
     return run_record(d, reduced, result, name, time.perf_counter() - t0)
-
-
-def _pool(workers: int):
-    """A pool of ``workers`` processes, forked while this process runs no
-    other thread: a forked worker starts with khss imported, where a
-    spawned one imports it afresh.  A thread may hold a lock at the
-    moment of a fork, so spawn then.  The imports are made here: they
-    take about 20 ms, a quarter of importing this module, which every
-    ``kh`` command would pay."""
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = (threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods())
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork" if fork else "spawn"))
 
 
 def _cpus() -> int:
@@ -216,12 +197,89 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _share(work, items: list) -> list:
+    """``work(item)`` per item, in order, until one raises: that
+    exception ends the list, since no later item is read."""
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append(work(item))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _fan_out(work, todo: list, workers: int) -> list:
+    """``_share(work, todo)`` computed by ``workers`` processes: this one
+    takes ``todo[0::workers]``, and each of ``workers - 1`` children,
+    forked here, takes ``todo[k::workers]`` and writes its outcomes
+    down a pipe as one pickle.  A thread may hold a lock at the moment
+    of a fork, so while another thread runs, or where there is no
+    ``os.fork``, everything is computed in this process.  No child
+    outlives this call, whatever it raises."""
+    import threading
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _share(work, todo)
+    import pickle
+    import signal
+
+    pids, pipes = [], []  # children in stride order, read ends of their pipes
+    live = set()          # children not yet reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child never returns from this block
+                    status = 1
+                    try:
+                        data = pickle.dumps(_share(work, todo[k::workers]))
+                        with open(w, "wb", closefd=False) as out:
+                            out.write(data)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(w)
+            pids.append(pid)
+            live.add(pid)
+        shares = [_share(work, todo[0::workers])]
+        for pid, r in zip(pids, pipes):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.discard(pid)
+            try:
+                shares.append(pickle.loads(data))
+            except Exception:  # cut short: the child was killed or failed
+                how = (f"killed by signal {-code}" if code < 0
+                       else f"exit status {code}")
+                raise CliError(f"internal error: a worker process died: {how}",
+                               EXIT_INTERNAL) from None
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in pipes:
+            os.close(r)
+    outcomes = []  # back in item order, up to the first failure
+    for i in range(len(todo)):
+        outcomes.append(shares[i % workers][i // workers])
+        if isinstance(outcomes[-1], Exception):
+            break
+    return outcomes
+
+
 def _records(items: list[tuple[str, PlanarDiagram]], args,
              workers: int = 1) -> list[dict]:
     """Run records of (name, diagram) items, in order.  Cache hits are
-    read and fresh records written in this process; the misses are
-    computed in up to ``workers`` worker processes, never more than the
-    CPUs this process may use, and in this process when that is one."""
+    read here; the misses are computed by ``_fan_out`` in up to
+    ``workers`` processes, this one included, never more than the CPUs
+    this process may use or the misses.  The fresh records are then
+    written to the cache here in item order, up to the first item that
+    failed, whose error is raised."""
     cdir = _cache_dir(args)
     records = [None if cdir is None else cache_load(cdir, d, args.reduced)
                for _, d in items]
@@ -231,26 +289,19 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
     misses = [i for i, record in enumerate(records) if record is None]
     work = functools.partial(_record, reduced=args.reduced,
                              max_generators=args.max_generators)
-    todo = [items[i] for i in misses]
     workers = min(workers, len(misses), _cpus())
-    pool = _pool(workers) if workers > 1 else None
-    try:
-        fresh = map(work, todo) if pool is None else pool.map(work, todo)
-        for i, record in zip(misses, fresh):
-            records[i] = record
-            if cdir is None:
-                continue
-            try:
-                cache_store(record, cdir, items[i][1], args.reduced)
-            except OSError as exc:  # the record stands without its entry
-                print(f"warning: cache entry not written: {exc}",
-                      file=sys.stderr)
-    except BrokenExecutor as exc:
-        raise CliError(f"internal error: a worker process died: {exc}",
-                       EXIT_INTERNAL)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    outcomes = _fan_out(work, [items[i] for i in misses], workers)
+    for i, record in zip(misses, outcomes):
+        if isinstance(record, Exception):
+            raise record
+        records[i] = record
+        if cdir is None:
+            continue
+        try:
+            cache_store(record, cdir, items[i][1], args.reduced)
+        except OSError as exc:  # the record stands without its entry
+            print(f"warning: cache entry not written: {exc}",
+                  file=sys.stderr)
     return records
 
 

@@ -1,13 +1,11 @@
-import concurrent.futures
 import contextlib
-import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -295,18 +293,49 @@ def test_probe_output_same_for_one_and_two_workers(capsys, tmp_path,
     assert len(names["1", "cold"]) == 4
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records what it was asked for
-    and runs the work in this process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The children forked while the test runs, counted through a
+    wrapper around ``os.fork``."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no fork on this platform")
+    made, fork = [], os.fork
 
-    def __init__(self, created, max_workers, mp_context):
-        created.append((max_workers, mp_context.get_start_method()))
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-    def map(self, fn, items):
-        return map(fn, items)
+    monkeypatch.setattr(os, "fork", counted)
+    return made
 
-    def shutdown(self, cancel_futures=False):
-        pass
+
+def no_fork():
+    raise AssertionError("os.fork called")
+
+
+def two_cpus(monkeypatch):
+    """Let two workers run, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def die_in_children(monkeypatch):
+    """Make each forked child exit 1 at its first item."""
+    parent, record = os.getpid(), cli._record
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_record", dying)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @contextlib.contextmanager
@@ -323,14 +352,11 @@ def another_thread():
     assert not other.is_alive()
 
 
-def test_probe_asks_for_at_most_cpu_count_workers(capsys, monkeypatch):
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        functools.partial(RecordingPool, created))
+def test_probe_asks_for_at_most_cpu_count_workers(capsys, forks):
     code, out, _ = run(capsys, "probe", corpus_path(), "--threads", "64")
     assert code == 0 and len(out.splitlines()) == 10
     workers = min(9, cli._cpus())  # nine rows, all cache misses
-    assert [w for w, _ in created] == ([workers] if workers > 1 else [])
+    assert len(forks) == workers - 1  # this process is one of them
 
 
 def test_probe_counts_the_cpus_it_may_use(capsys, monkeypatch):
@@ -340,64 +366,90 @@ def test_probe_counts_the_cpus_it_may_use(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cli.make_parser().parse_args(["probe", "x.csv"]).threads == 1
     serial = run(capsys, "probe", corpus_path())
-    monkeypatch.setattr(cli, "_pool", None)  # calling it fails
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run(capsys, "probe", corpus_path(), "--threads", "2") == serial
     assert serial[0] == 0 and len(serial[1].splitlines()) == 10
 
 
-def test_probe_warm_pass_starts_no_pool(capsys, monkeypatch, tmp_path):
+def test_probe_warm_pass_forks_nothing(capsys, monkeypatch, tmp_path):
     cache = str(tmp_path / "cache")
     cold = run(capsys, "probe", corpus_path(), "--cache", cache)
-    monkeypatch.setattr(cli, "_pool", None)  # calling it fails
+    monkeypatch.setattr(os, "fork", no_fork)
     assert run(capsys, "probe", corpus_path(), "--cache", cache) == cold
 
 
 def test_probe_workers_fork_only_without_other_threads(capsys, monkeypatch,
-                                                       tmp_path):
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("no fork on this platform")
-    created = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        functools.partial(RecordingPool, created))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)  # RecordingPool forks none
-    run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "a"))
-    with another_thread():
-        run(capsys, "probe", corpus_path(), "--cache", str(tmp_path / "b"))
-    assert created == [(2, "fork"), (2, "spawn")]
-
-
-def test_probe_spawned_workers_give_the_same_rows(capsys, mixed_corpus):
-    if cli._cpus() < 2:
-        pytest.skip("one CPU: the rows are computed in this process")
+                                                       forks, mixed_corpus):
+    two_cpus(monkeypatch)
     one = run(capsys, "probe", str(mixed_corpus), "--threads", "1")
-    with another_thread():  # so the workers are spawned
+    assert one[0] == 0 and not forks
+    assert run(capsys, "probe", str(mixed_corpus), "--threads", "2") == one
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "fork", no_fork)
+    with another_thread():  # so everything is computed in this process
         two = run(capsys, "probe", str(mixed_corpus), "--threads", "2")
     assert two == one
 
 
-def test_probe_size_cap_in_a_worker_exit_3(capsys):
+def test_probe_size_cap_in_a_worker_exit_3(capsys, monkeypatch, forks,
+                                           tmp_path):
     error = pickle.loads(pickle.dumps(cli.CliError("cap", cli.EXIT_SIZE)))
     assert error.code == cli.EXIT_SIZE  # what a worker's error carries back
-    code, out, err = run(capsys, "probe", corpus_path(),
-                         "--max-generators", "50", "--threads", "2")
-    assert code == 3
-    assert out == ""
+    two_cpus(monkeypatch)
+    corpus = tmp_path / "corpus.csv"  # the closure falls to the child
+    corpus.write_text(f"unknot,U\nbig,{probe_closures()[0]}\n")
+    cache = tmp_path / "cache"
+    code, out, err = run(capsys, "probe", str(corpus), "--threads", "2",
+                         "--max-generators", "50", "--cache", str(cache))
+    assert code == 3 and out == ""
     assert "50 generators" in err
+    assert len(forks) == 1
+    assert len(list(cache.iterdir())) == 1  # the unknot's, written first
 
 
-def test_probe_dead_worker_exit_1(capsys, monkeypatch):
-    class DyingPool(RecordingPool):
-        def map(self, fn, items):
-            raise BrokenProcessPool("killed")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        functools.partial(DyingPool, []))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)  # DyingPool forks none
-    code, out, err = run(capsys, "probe", corpus_path(), "--threads", "2")
+def test_probe_dead_worker_exit_1(capsys, monkeypatch, forks, mixed_corpus):
+    two_cpus(monkeypatch)
+    die_in_children(monkeypatch)
+    code, out, err = run(capsys, "probe", str(mixed_corpus), "--threads", "2")
     assert code == 1 and out == ""
-    assert "worker process died" in err
+    assert "worker process died: exit status 1" in err
+    assert len(forks) == 1
+
+
+def test_probe_leaves_no_child_process(capsys, monkeypatch, forks,
+                                       mixed_corpus):
+    two_cpus(monkeypatch)
+    argv = ("probe", str(mixed_corpus), "--threads", "2")
+    assert run(capsys, *argv)[0] == 0
+    assert_no_child_left()
+    assert run(capsys, *argv, "--max-generators", "50")[0] == 3
+    assert_no_child_left()
+    parent, record = os.getpid(), cli._record
+    die_in_children(monkeypatch)
+    assert run(capsys, *argv)[0] == 1
+    assert_no_child_left()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_record", interrupted)
+    with pytest.raises(KeyboardInterrupt):  # the child may still be computing
+        main(list(argv))
+    assert_no_child_left()
+    assert len(forks) == 4
+
+
+def test_importing_the_cli_leaves_out_the_pool_modules():
+    # every kh command pays for what importing khss.cli imports
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, khss.cli; print(sorted({'logging', "
+            "'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_probe_corrupt_entries_warn_here_and_are_recomputed(capsys, tmp_path,

@@ -104,17 +104,14 @@ def test_generator_validation():
 
 
 def all_generators(max_n=6):
-    for n in range(1, max_n + 1):
-        yield Generator("V", n)
-        yield Generator("Birth", n)
-        if n >= 2:
-            yield Generator("Lam", n)
-            yield Generator("Death", n)
-            yield Generator("IV", n)
-        if n >= 3:
-            yield Generator("ILam", n)
-            for i in range(2, n):
-                yield Generator("X", n, i)
+    """Every generator of at most ``max_n`` components, from each kind's
+    fewest components in ``tqft.GENERATOR_ARITY``."""
+    for kind, (least, _) in tqft.GENERATOR_ARITY.items():
+        for n in range(least, max_n + 1):
+            if kind == "X":
+                yield from (Generator("X", n, i) for i in range(2, n))
+            else:
+                yield Generator(kind, n)
 
 
 def test_hfl_equals_reduced_for_every_generator():
