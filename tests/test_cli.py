@@ -381,14 +381,25 @@ def test_probe_warm_pass_forks_nothing(capsys, monkeypatch, tmp_path):
 def test_probe_workers_fork_only_without_other_threads(capsys, monkeypatch,
                                                        forks, mixed_corpus):
     two_cpus(monkeypatch)
-    one = run(capsys, "probe", str(mixed_corpus), "--threads", "1")
-    assert one[0] == 0 and not forks
-    assert run(capsys, "probe", str(mixed_corpus), "--threads", "2") == one
+    argv = ("probe", str(mixed_corpus), "--threads", "2")
+    assert run(capsys, *argv)[0] == 0
     assert len(forks) == 1
     monkeypatch.setattr(os, "fork", no_fork)
     with another_thread():  # so everything is computed in this process
+        assert run(capsys, *argv)[0] == 0
+
+
+def test_probe_spawned_workers_give_the_same_rows(capsys, monkeypatch, forks,
+                                                  mixed_corpus):
+    two_cpus(monkeypatch)
+    one = run(capsys, "probe", str(mixed_corpus), "--threads", "1")
+    assert one[0] == 0 and not forks
+    assert run(capsys, "probe", str(mixed_corpus), "--threads", "2") == one
+    assert len(forks) == 1  # the second worker is a forked child
+    with another_thread():  # so everything is computed in this process
         two = run(capsys, "probe", str(mixed_corpus), "--threads", "2")
     assert two == one
+    assert len(forks) == 1
 
 
 def test_probe_size_cap_in_a_worker_exit_3(capsys, monkeypatch, forks,
