@@ -100,7 +100,7 @@ def cache_store(record: dict, directory: Path, d: PlanarDiagram,
     wrapped = json.dumps({
         "checksum": hashlib.sha256(body.encode()).hexdigest(),
         "record": record,
-    }, sort_keys=True, indent=1)
+    }, sort_keys=True)
     path = directory / f"{cache_key(d, reduced)}.json"
     fd, tmp = tempfile.mkstemp(dir=str(directory), suffix=".tmp")
     try:
@@ -152,10 +152,6 @@ def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
         squares_to_zero = verify_d_squared(c)
     except SizeCapError as exc:
         raise CliError(str(exc), EXIT_SIZE)
-    except MemoryError:
-        raise CliError("out of memory building or checking the complex; "
-                       "lower --max-generators or raise the memory limit",
-                       EXIT_SIZE)
     except StructureError as exc:
         raise CliError(f"invalid diagram: {exc}")
     except GradingError as exc:
@@ -510,6 +506,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"kh: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # from any stage, a forked worker's included
+        print("kh: out of memory; lower --max-generators or raise the "
+              "memory limit", file=sys.stderr)
+        return EXIT_SIZE
 
 
 if __name__ == "__main__":

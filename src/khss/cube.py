@@ -13,12 +13,13 @@ ends of an edge, so those circles keep their relative order, and the
 edge maps pair them up in increasing index order.
 
 ``walk`` resolves every vertex in one recursive depth-first search over
-the crossings, crossing 0 deepest, so the vertices come in increasing
-order.  It keeps the root of every arc current (quick-find): a union
-relabels the arcs of the smaller class, and undoing it once the
-crossing's subtree is done relabels them back, so a vertex reads its
-roots without a find.  ``resolve`` computes one vertex from scratch;
-both number the circles with ``_resolution``.
+the crossings, crossing 0 deepest, into two flat lists by increasing
+vertex: labels and circle counts.  It keeps the root of every arc
+current (quick-find): a union relabels the arcs of the smaller class,
+and undoing it once the crossing's subtree is done relabels them back,
+so a vertex numbers its circles without a find.  It counts generators
+as it goes, so a size cap stops it at the vertex that passes the cap.
+``resolve`` computes one vertex from scratch, as a ``Resolution``.
 
 An edge is therefore described by its shape alone: merge or split, the
 source's circle count, and the indices of the circles the crossing
@@ -28,10 +29,14 @@ edges of the same shape share one map.
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Iterator, NamedTuple
+from operator import itemgetter
+from typing import NamedTuple
 
 from .diagram import PlanarDiagram, StructureError
+
+
+class SizeCapError(RuntimeError):
+    """The diagram would produce more generators than the configured cap."""
 
 
 class Resolution(NamedTuple):
@@ -64,17 +69,12 @@ def smoothing_pairings(crossing: tuple[int, int, int, int],
     return (a, d), (b, c)
 
 
-def _resolution(d: PlanarDiagram, u: int, roots: list[int]) -> Resolution:
-    """Number the circles of vertex ``u`` from the root of every arc's
-    class: the marked circle is 0, the rest follow by lowest arc, and
-    arc 0, which no crossing joins, is -1."""
+def _marked_arc(d: PlanarDiagram, arcs: int) -> int:
+    """The arc of the marked circle, checked to be one of ``arcs``."""
     marked = d.basepoint if d.basepoint is not None else d.arc_count + 1
-    if not 0 < marked < len(roots):
+    if not 0 < marked < arcs:
         raise StructureError("basepoint arc missing from every circle")
-    # root -> circle index, the roots in order of first arc
-    first = dict.fromkeys([roots[0], roots[marked], *roots])
-    number = dict(zip(first, count(-1)))
-    return Resolution(u, len(first) - 1, tuple(map(number.__getitem__, roots)))
+    return marked
 
 
 def resolve(d: PlanarDiagram, u: int) -> Resolution:
@@ -82,6 +82,7 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
     if u >> len(d.crossings):
         raise ValueError("smoothing has more bits than crossings")
     parent = list(range(d.arc_count + d.unknotted_extras + 1))
+    marked = _marked_arc(d, len(parent))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -92,23 +93,40 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
     for ci, cr in enumerate(d.crossings):
         for x, y in smoothing_pairings(cr, (u >> ci) & 1):
             parent[find(x)] = find(y)
-    return _resolution(d, u, [find(a) for a in range(len(parent))])
+    roots = [find(a) for a in range(len(parent))]
+    # root -> circle index, the roots in order of first arc
+    first = dict.fromkeys([roots[0], roots[marked], *roots])
+    return Resolution(u, len(first) - 1, itemgetter(*roots)(
+        dict(zip(first, range(-1, len(first))))))
 
 
-def walk(d: PlanarDiagram) -> Iterator[Resolution]:
-    """The resolution of every vertex, in increasing order of ``u``."""
+def walk(d: PlanarDiagram, max_generators: float = float("inf")
+         ) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The labels and the circle count of every vertex, by increasing
+    ``u``.  Raises ``SizeCapError`` at the first vertex that takes the
+    generators walked, 2^(circles - 1) a vertex, past ``max_generators``."""
     root = list(range(d.arc_count + d.unknotted_extras + 1))
+    marked = _marked_arc(d, len(root))
     members = [[a] for a in root]  # the arcs of each root's class
     pairings = [(smoothing_pairings(cr, 0), smoothing_pairings(cr, 1))
                 for cr in d.crossings]
+    labels, circles, total = [], [], 0  # total: generators walked
 
-    def visit(i: int, u: int) -> Iterator[Resolution]:
-        if i < 0:
-            yield _resolution(d, u, root)
+    def visit(i: int) -> None:
+        nonlocal total
+        if i < 0:  # number the circles as ``resolve`` does
+            first = dict.fromkeys([root[0], root[marked], *root])
+            labels.append(itemgetter(*root)(
+                dict(zip(first, range(-1, len(first))))))
+            circles.append(len(first) - 1)
+            total += 1 << (len(first) - 2)
+            if total > max_generators:
+                raise SizeCapError(
+                    f"complex needs more than {max_generators} generators")
             return
-        for bit in (0, 1):
+        for pairs in pairings[i]:
             done = []
-            for x, y in pairings[i][bit]:
+            for x, y in pairs:
                 big, small = root[x], root[y]
                 if big != small:
                     if len(members[big]) < len(members[small]):
@@ -117,14 +135,16 @@ def walk(d: PlanarDiagram) -> Iterator[Resolution]:
                         root[a] = big
                     members[big] += members[small]
                     done.append((big, small))
-            yield from visit(i - 1, u | bit << i)
+            visit(i - 1)
             for big, small in reversed(done):
                 moved = members[small]
                 del members[big][-len(moved):]
                 for a in moved:
                     root[a] = small
 
-    return visit(len(d.crossings) - 1, 0)
+    visit(len(d.crossings) - 1)
+    del visit  # the closure refers to itself: free the lists with the caller
+    return labels, circles
 
 
 def classify_edge(d: PlanarDiagram, u: int, crossing: int) -> EdgeCobordism:

@@ -50,14 +50,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
 
 from . import cube, tqft
-from .cube import Resolution
+from .cube import SizeCapError  # noqa: F401  (raised by the walk in build)
 from .diagram import PlanarDiagram
 
 DEFAULT_GENERATOR_CAP = 1 << 26
-
-
-class SizeCapError(RuntimeError):
-    """The diagram would produce more generators than the configured cap."""
 
 
 class GradingError(RuntimeError):
@@ -142,13 +138,6 @@ class BlockComplex(NamedTuple):
     blocks: list[QBlock]
 
 
-def generator_gradings(d: PlanarDiagram, res: Resolution,
-                       monomial: int) -> tuple[int, int]:
-    """(h, q) of one basis monomial at one vertex of the reduced complex."""
-    h = res.u.bit_count() - d.n_minus
-    return h, res.circle_count - 1 - 2 * monomial.bit_count() + h + d.writhe
-
-
 def marked_diagram(d: PlanarDiagram, reduced: bool) -> PlanarDiagram:
     """The diagram whose reduced complex is the complex of ``d`` in the
     given flavor: ``d`` itself, or ``d`` with one more crossingless
@@ -218,38 +207,38 @@ def build(d: PlanarDiagram, reduced: bool = True,
     """Assemble the filtered complex of a diagram: the reduced complex
     of ``marked_diagram(d, reduced)``."""
     d = marked_diagram(d, reduced)
-    n = len(d.crossings)
-    # every vertex has a generator, so the running count reaches a cap
-    # below 2^n before the whole cube is resolved
-    labels, letters, top, total = [], [], [], 0
-    for res in cube.walk(d):
-        labels.append(res.labels)
-        letters.append(res.circle_count - 1)
-        top.append(generator_gradings(d, res, 0))
-        total += 1 << letters[-1]
-        if total > max_generators:
-            raise SizeCapError(
-                f"complex needs more than {max_generators} generators")
+    # every vertex has a generator, so the walk passes a cap below 2^n
+    # before it has resolved the whole cube
+    labels, circles = cube.walk(d, max_generators)
+    letters = [c - 1 for c in circles]
 
-    # base[u][k] is where the run of u's monomials with k letters x
-    # starts in its slice, at (h, top_q - 2k) with (h, top_q) = top[u]
-    runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    sizes: dict[tuple[int, int], int] = {}
-    base: list[list[int]] = []
-    for u, (h, top_q) in enumerate(top):
-        base.append([])
-        for k, run in enumerate(_letter_runs(letters[u])[0]):
-            key = (h, top_q - 2 * k)
+    # vertex u has h = |u| - n_minus, and its run of monomials with k
+    # letters x sits at (h, L_u + h + writhe - 2k): a vertex class
+    # (h, L_u) names the slices of its runs and their lengths once, and
+    # its vertices share one list of those slices' columns.  base[u][k]
+    # is where u's run with k letters x starts in its slice.
+    runs, sizes, classes, base, run_cols = {}, {}, {}, [], []
+    for u, k_max in enumerate(letters):
+        h = u.bit_count() - d.n_minus
+        cls = classes.get((h, k_max))
+        if cls is None:  # ((slice key, run length) per k, their columns)
+            top_q = k_max + h + d.writhe
+            cls = classes[h, k_max] = ([
+                ((h, top_q - 2 * k), len(run))
+                for k, run in enumerate(_letter_runs(k_max)[0])], [])
+        starts = []
+        for k, (key, length) in enumerate(cls[0]):
             start = sizes.get(key, 0)
-            base[u].append(start)
-            sizes[key] = start + len(run)
+            starts.append(start)
+            sizes[key] = start + length
             runs.setdefault(key, []).append((u, k))
+        base.append(starts)
+        run_cols.append(cls[1])
     slices = {key: Slice(*key, runs[key], size, [0] * size)
               for key, size in sorted(sizes.items(),
                                       key=lambda kv: (kv[0][1], -kv[0][0]))}
-    run_cols = [[slices[(h, top_q - 2 * k)].cols
-                 for k in range(letters[u] + 1)]
-                for u, (h, top_q) in enumerate(top)]
+    for spans, cols in classes.values():
+        cols += [slices[key].cols for key, _ in spans]
 
     # d = sum of the edge maps: one OR per source monomial of each edge,
     # since every entry of d lies on exactly one edge
@@ -257,7 +246,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
     keyed: dict[tuple[int, ...], tuple[_Term, ...]] = {}
     for i, (a, b, c, _) in enumerate(d.crossings):
         step = 1 << i
-        for u in range(1 << n):
+        for u in range(len(letters)):
             if u & step:
                 continue
             w = u | step

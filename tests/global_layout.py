@@ -20,11 +20,18 @@ from math import comb
 
 from block_view import block_view
 from khss import cube, tqft
+from khss.cube import Resolution
 from khss.diagram import PlanarDiagram
-from khss.filtered import (FilteredComplex, generator_gradings,
-                           marked_diagram)
+from khss.filtered import FilteredComplex, marked_diagram
 
 PATH_CAP = 6
+
+
+def generator_gradings(d: PlanarDiagram, res: Resolution,
+                       monomial: int) -> tuple[int, int]:
+    """(h, q) of one basis monomial at one vertex of the reduced complex."""
+    h = res.u.bit_count() - d.n_minus
+    return h, res.circle_count - 1 - 2 * monomial.bit_count() + h + d.writhe
 
 
 def monotone_path(u: int, v: int) -> list[int]:

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path,
                       probe_closures)
-from khss import cli, tqft
+from khss import cli, spectral, tqft
 from khss.cli import main
 from khss.cube import classify_edge
 from khss.diagram import parse_pd
@@ -121,6 +121,31 @@ def test_out_of_memory_exit_3(capsys, monkeypatch):
     assert code == 3 and not out
     assert err.startswith("kh: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_out_of_memory_computing_the_pages_exit_3(capsys, monkeypatch,
+                                                 forks, tmp_path):
+    parent, compute = os.getpid(), cli.compute
+
+    def exhausted(*args, **kwargs):  # for probe, in the forked worker only
+        if argv[0] != "probe" or os.getpid() != parent:
+            raise MemoryError
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute", exhausted)
+    monkeypatch.setattr(spectral, "compute", exhausted)
+    two_cpus(monkeypatch)
+    corpus = tmp_path / "corpus.csv"  # the trefoil falls to the child
+    corpus.write_text(f"unknot,U\ntrefoil,{TREFOIL}\n")
+    for argv in (("compute", "--pd", TREFOIL),
+                 ("invariance", "--pd", TREFOIL, "--pd2", TREFOIL),
+                 ("sweep", "--pd", TREFOIL),
+                 ("probe", str(corpus), "--threads", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err.startswith("kh: out of memory") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert len(forks) == 1
 
 
 def test_invariance_size_cap_exit_3(capsys):

@@ -5,7 +5,7 @@ import pytest
 from conftest import NOT_LOCAL, TREFOIL, probe_closures
 from edge_words import circle_arcs, edge_shape_by_sets
 from global_layout import all_monotone_paths, monotone_path
-from khss.cube import (classify_edge, edge_between, resolve,
+from khss.cube import (Resolution, classify_edge, edge_between, resolve,
                        smoothing_pairings, walk)
 from khss.diagram import StructureError, parse_pd
 from khss.filtered import build
@@ -59,15 +59,17 @@ def test_walk_matches_resolve(store):
         d = parse_pd(text)
         diagrams += [d, d.with_basepoint(None)]
     for d in diagrams:
-        assert list(walk(d)) == [resolve(d, u)
-                                 for u in range(1 << len(d.crossings))]
+        res = [resolve(d, u) for u in range(1 << len(d.crossings))]
+        assert walk(d) == ([r.labels for r in res],
+                           [r.circle_count for r in res])
 
 
 def test_edge_between_matches_the_arc_set_formula(store):
     for name in store.names(7):
         d = store.corpus[name]
         n = len(d.crossings)
-        res = list(walk(d))
+        labels, circles = walk(d)
+        res = [Resolution(u, circles[u], labels[u]) for u in range(1 << n)]
         for u in range(1 << n):
             for i in range(n):
                 if not (u >> i) & 1:
