@@ -28,8 +28,6 @@ from .spectral import (
     compare_pages,
     compute,
     khovanov_oracle,
-    page,
-    total_homology,
 )
 from .tqft import (
     Generator,
@@ -65,8 +63,6 @@ __all__ = [
     "compare_pages",
     "compute",
     "khovanov_oracle",
-    "page",
-    "total_homology",
     "Generator",
     "GeneratorWord",
     "GradingShift",

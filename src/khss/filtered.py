@@ -32,15 +32,6 @@ edge by what its shape is read from: four circle labels, two letter counts.
 The image of a shape depends on no diagram either, so each is computed
 and q-checked once per process, in a table keyed by the edge rule and
 the shape, and every later ``build`` reads it from there.
-
-A general filtered complex, whose differential may raise h by any
-amount, is a ``BlockComplex``: one ``QBlock`` per q, ordered by h,
-highest first, with columns over the whole block.  The planted
-complexes of the tests and the composite differential D are of this
-kind.  A block column is as wide as its row offset inside the block,
-so the blocks of d would take memory quadratic in their widths where
-the slices take it about linear in the nonzeros; ``spectral`` reduces
-both forms with the same column reduction.
 """
 
 from __future__ import annotations
@@ -117,25 +108,6 @@ class FilteredComplex:
         this view)."""
         return {1: {(s.h, s.q, j): col for s in self.slices
                     for j, col in enumerate(s.cols) if col}}
-
-
-class QBlock(NamedTuple):
-    """The generators of quantum degree q, ordered by h, highest first,
-    and the differential as column masks over their local indices."""
-
-    q: int
-    generators: list[KhGenerator]
-    cols: list[int]
-
-    @property
-    def h(self) -> list[int]:
-        return [g.h for g in self.generators]
-
-
-class BlockComplex(NamedTuple):
-    """A general filtered complex: one block per quantum degree."""
-
-    blocks: list[QBlock]
 
 
 def marked_diagram(d: PlanarDiagram, reduced: bool) -> PlanarDiagram:

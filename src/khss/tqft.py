@@ -104,7 +104,6 @@ def compose_columns(first: list[int], second: list[int]) -> list[int]:
 # kind -> (fewest source components, change in the component count)
 GENERATOR_ARITY = {"V": (1, 1), "Lam": (2, -1), "X": (3, 0), "IV": (2, 1),
                    "ILam": (3, -1), "Birth": (1, 1), "Death": (2, -1)}
-GENERATOR_KINDS = tuple(GENERATOR_ARITY)
 
 
 @dataclass(frozen=True)

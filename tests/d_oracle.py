@@ -29,10 +29,10 @@ the identity plus terms that raise h, so it is a filtered isomorphism
 from __future__ import annotations
 
 from khss import cube, tqft
-from khss.filtered import BlockComplex, QBlock, marked_diagram
 from khss.filtered import build as build_d
+from khss.filtered import marked_diagram
 
-from block_view import block_view
+from block_view import BlockComplex, QBlock, block_view
 from global_layout import bits
 
 

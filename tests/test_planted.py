@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subspace_oracle
-from khss.filtered import BlockComplex, KhGenerator, QBlock
-from khss.spectral import Barcode, barcode, compute, page
+from block_view import (Barcode, BlockComplex, QBlock, barcode, compute,
+                        page)
+from khss.filtered import KhGenerator
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def test_one_flipped_entry_is_caught(block, data):
 @given(st.lists(planted_blocks(), min_size=2, max_size=4))
 def test_planted_complex_through_compute(planted):
     """Several planted q-blocks (q = 0, 2, 4, ...) as one complex, through
-    ``compute`` and ``page`` themselves."""
+    the reference ``compute`` and ``page`` of ``block_view``."""
     blocks = []
     for n, block in enumerate(planted):
         gens = [KhGenerator(i, 0, h, 2 * n) for i, h in enumerate(block.h)]
