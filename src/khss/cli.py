@@ -135,7 +135,7 @@ def cache_load(directory: Path, d: PlanarDiagram, reduced: bool) -> dict | None:
 def read_pd_argument(text: str) -> PlanarDiagram:
     if text.startswith("@"):
         try:
-            text = Path(text[1:]).read_text(encoding="utf-8")
+            text = Path(text[1:]).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read PD file: {exc}")
     try:

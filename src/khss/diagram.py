@@ -2,9 +2,11 @@
 
 A crossing ``X(a,b,c,d)`` lists the four arc labels counterclockwise
 starting at the incoming under-strand ``a``; the under-strand runs
-``a -> c``.  A crossing is positive when the over-strand, oriented by
-component tracing, crosses the under-strand left to right as seen along
-the under-strand direction.
+``a -> c``.  That fixes the direction of every component that passes
+under somewhere.  A component with no under pass is oriented from slot
+``b`` of its lowest-index crossing, so its over strand there runs
+``b -> d``.  A crossing is positive when the over-strand crosses the
+under-strand left to right as seen along the under-strand direction.
 
 Crossingless unknot components cannot be encoded by X-tuples and are
 written as standalone ``U`` tokens joined to the rest by ``+``.
@@ -13,7 +15,7 @@ written as standalone ``U`` tokens joined to the rest by ``+``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 
@@ -38,7 +40,7 @@ class PlanarDiagram:
     ``basepoint`` is an arc label, or None when the marked component is
     the first crossingless unknot component.  ``incoming`` records, per
     crossing, which slots hold the head of their arc (bit s set = slot s
-    incoming), fixing the orientation trace.
+    incoming), which fixes the direction of every strand.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -77,9 +79,7 @@ class PlanarDiagram:
             raise StructureError(f"basepoint {basepoint} is not a valid arc")
         if basepoint is None and self.unknotted_extras == 0:
             raise StructureError("no crossingless component to mark")
-        return PlanarDiagram(self.crossings, self.arc_count, basepoint,
-                             self.unknotted_extras, self.signs,
-                             self.components, self.incoming)
+        return replace(self, basepoint=basepoint)
 
 
 def from_crossings(crossings, extras: int = 0,
@@ -109,9 +109,8 @@ def from_crossings(crossings, extras: int = 0,
             ", ".join(f"arc {a} appears {c} time(s)"
                       for a, c in counts.items()))
 
-    incoming = _trace_orientation(crossings, occurrences)
-    signs = tuple(_crossing_sign(incoming[ci]) for ci in range(n))
-    components = _trace_components(crossings, occurrences, incoming, arc_count)
+    incoming, components = _walk_strands(crossings, occurrences)
+    signs = tuple(_crossing_sign(mask) for mask in incoming)
 
     if basepoint is None and n > 0:
         basepoint = 1
@@ -119,74 +118,44 @@ def from_crossings(crossings, extras: int = 0,
         raise StructureError(f"basepoint {basepoint} is not a valid arc")
 
     return PlanarDiagram(crossings, arc_count, basepoint, extras,
-                         signs, components, tuple(incoming))
+                         signs, components, incoming)
 
 
-def _trace_orientation(crossings, occurrences) -> list[int]:
-    """Assign incoming/outgoing status to every crossing slot.
+def _walk_strands(crossings, occurrences):
+    """Walk every strand once; return each crossing's incoming mask (bit
+    s set = slot s incoming) and the components as arc cycles.
 
-    Slot a (0) is incoming and slot c (2) outgoing by convention; the
-    over slots b, d are settled by propagation: an arc is incoming at
-    exactly one of its two occurrences.  Over strands never touching an
-    under slot are given a canonical direction.
+    A strand entering a crossing at slot s leaves at slot s ^ 2 and runs
+    along that slot's arc into the arc's other occurrence.  Walks start
+    at slot a of each crossing, then at slot b of each crossing whose
+    over strand no walk has entered.  Each slot is entered from one slot
+    only, so a walk closes at its start, and entering b or d opposite an
+    entered slot needs the step before to have done so too: the one
+    conflict is entering a slot c.
     """
-    n = len(crossings)
-    # status[ci][slot]: None unknown, True incoming, False outgoing
-    status: list[list[bool | None]] = [[None] * 4 for _ in range(n)]
-
-    def other_occurrence(arc, ci, slot):
-        occ = occurrences[arc]
-        return occ[1] if occ[0] == (ci, slot) else occ[0]
-
-    def assign(ci, slot, value):
-        queue = [(ci, slot, value)]
-        while queue:
-            ci, slot, value = queue.pop()
-            cur = status[ci][slot]
-            if cur is not None:
-                if cur != value:
-                    raise StructureError(
-                        f"unorientable diagram at crossing {ci + 1}")
-                continue
-            status[ci][slot] = value
-            arc = crossings[ci][slot]
-            oci, oslot = other_occurrence(arc, ci, slot)
-            queue.append((oci, oslot, not value))
-            # over slots 1 and 3 carry opposite statuses
-            if slot in (1, 3):
-                queue.append((ci, 4 - slot, not value))
-
-    for ci in range(n):
-        assign(ci, 0, True)
-        assign(ci, 2, False)
-    for ci in range(n):
-        if status[ci][1] is None:
-            assign(ci, 1, True)  # canonical choice for all-over components
-    masks = []
-    for ci in range(n):
-        masks.append(sum(1 << s for s in range(4) if status[ci][s]))
-    return masks
-
-
-def _crossing_sign(incoming_mask: int) -> int:
-    # Over pair is slots 1 (east) and 3 (west); under points north.
-    # West incoming means the over strand runs left to right: positive.
-    return 1 if (incoming_mask >> 3) & 1 else -1
-
-
-def _trace_components(crossings, occurrences, incoming, arc_count):
+    entered = [0] * len(crossings)
     succ: dict[int, int] = {}
-    for ci, cr in enumerate(crossings):
-        mask = incoming[ci]
-        succ[cr[0]] = cr[2]
-        # over slots: whichever of slots 1,3 is incoming maps to the other
-        if (mask >> 1) & 1:
-            succ[cr[1]] = cr[3]
-        else:
-            succ[cr[3]] = cr[1]
+
+    def walk(ci, slot):
+        while not (entered[ci] >> slot) & 1:
+            if slot == 2:
+                raise StructureError(
+                    f"unorientable diagram at crossing {ci + 1}")
+            entered[ci] |= 1 << slot
+            arc_in, arc = crossings[ci][slot], crossings[ci][slot ^ 2]
+            succ[arc_in] = arc
+            first, second = occurrences[arc]
+            ci, slot = second if first == (ci, slot ^ 2) else first
+
+    for ci in range(len(crossings)):
+        walk(ci, 0)
+    for ci in range(len(crossings)):
+        if not entered[ci] & 0b1010:
+            walk(ci, 1)
+
     seen: set[int] = set()
     components = []
-    for start in range(1, arc_count + 1):
+    for start in sorted(succ):
         if start in seen:
             continue
         comp = []
@@ -196,7 +165,13 @@ def _trace_components(crossings, occurrences, incoming, arc_count):
             comp.append(a)
             a = succ[a]
         components.append(tuple(comp))
-    return tuple(components)
+    return tuple(entered), tuple(components)
+
+
+def _crossing_sign(incoming_mask: int) -> int:
+    # Over pair is slots 1 (east) and 3 (west); under points north.
+    # West incoming means the over strand runs left to right: positive.
+    return 1 if (incoming_mask >> 3) & 1 else -1
 
 
 _X_RE = re.compile(r"X\((\d+),(\d+),(\d+),(\d+)\)")
@@ -292,15 +267,16 @@ def mirror(d: PlanarDiagram) -> PlanarDiagram:
     return from_crossings(new_crossings, d.unknotted_extras, d.basepoint)
 
 
-def _renumber(crossings, arc_labels: set[int], basepoint, extras):
-    order = {old: new for new, old in enumerate(sorted(arc_labels), start=1)}
-    new_crossings = [tuple(order[a] for a in cr) for cr in crossings]
-    bp = order[basepoint] if basepoint is not None else None
-    return from_crossings(new_crossings, extras, bp)
-
-
-# Kink tuples on a crossingless unknot (see reidemeister1):
-_UNKNOT_KINK = {+1: [(1, 1, 2, 2)], -1: [(1, 2, 2, 1)]}
+def _on_unknot(d: PlanarDiagram, tuples, move: str) -> PlanarDiagram:
+    """Draw the first crossingless component as ``tuples`` (labels from
+    1), its arcs numbered after ``d``'s; it keeps the mark if it had it."""
+    if d.unknotted_extras == 0:
+        raise StructureError(f"no crossingless component to {move}")
+    base = d.arc_count
+    crossings = d.crossings + tuple(tuple(a + base for a in cr)
+                                    for cr in tuples)
+    bp = base + 1 if d.basepoint is None else d.basepoint
+    return from_crossings(crossings, d.unknotted_extras - 1, bp)
 
 
 def reidemeister1(d: PlanarDiagram, arc: int | None,
@@ -310,16 +286,8 @@ def reidemeister1(d: PlanarDiagram, arc: int | None,
     if kink_sign not in (+1, -1):
         raise ValueError("kink_sign must be +1 or -1")
     if arc is None:
-        if d.unknotted_extras == 0:
-            raise StructureError("no crossingless component to kink")
-        base = 2 * len(d.crossings)
-        kink = [tuple(a + base for a in cr) for cr in _UNKNOT_KINK[kink_sign]]
-        crossings = list(d.crossings) + kink
-        labels = set(range(1, base + 3))
-        bp = d.basepoint
-        if bp is None and d.unknotted_extras == 1:
-            bp = base + 1  # marked circle acquired arcs
-        return _renumber(crossings, labels, bp, d.unknotted_extras - 1)
+        return _on_unknot(d, [(1, 1, 2, 2)] if kink_sign > 0
+                          else [(1, 2, 2, 1)], "kink")
 
     if not 1 <= arc <= d.arc_count:
         raise StructureError(f"arc {arc} is not a valid arc")
@@ -331,8 +299,7 @@ def reidemeister1(d: PlanarDiagram, arc: int | None,
         crossings.append((t1, t2, loop, loop))
     else:
         crossings.append((t1, loop, loop, t2))
-    labels = set(range(1, d.arc_count + 3))
-    return _renumber(crossings, labels, d.basepoint, d.unknotted_extras)
+    return from_crossings(crossings, d.unknotted_extras, d.basepoint)
 
 
 def _split_arc_heads(d: PlanarDiagram, pairs) -> list[tuple]:
@@ -343,18 +310,12 @@ def _split_arc_heads(d: PlanarDiagram, pairs) -> list[tuple]:
     Orientation comes from ``d`` itself, so all relabelings must be done
     in one pass before the diagram is rebuilt.
     """
+    heads = {cr[slot]: (ci, slot) for ci, cr in enumerate(d.crossings)
+             for slot in range(4) if (d.incoming[ci] >> slot) & 1}
     out = [list(cr) for cr in d.crossings]
     for arc, new_label in pairs:
-        for ci, cr in enumerate(d.crossings):
-            for slot, a in enumerate(cr):
-                if a == arc and (d.incoming[ci] >> slot) & 1:
-                    out[ci][slot] = new_label
-                    break
-            else:
-                continue
-            break
-        else:
-            raise StructureError(f"arc {arc} has no incoming occurrence")
+        ci, slot = heads[arc]
+        out[ci][slot] = new_label
     return [tuple(cr) for cr in out]
 
 
@@ -368,19 +329,9 @@ def reidemeister2(d: PlanarDiagram, arc_a: int | None,
     if arc_a is None or arc_b is None:
         if not (arc_a is None and arc_b is None):
             raise StructureError("both arcs or neither must be None")
-        if d.unknotted_extras == 0:
-            raise StructureError("no crossingless component to poke")
-        base = 2 * len(d.crossings)
         # arc 1 = shared under-tail/over-head, 2 = over middle,
         # 4 = under middle, 3 = shared over-tail/under-head
-        poke = [(base + 3, base + 2, base + 4, base + 3),
-                (base + 4, base + 2, base + 1, base + 1)]
-        crossings = list(d.crossings) + poke
-        labels = set(range(1, base + 5))
-        bp = d.basepoint
-        if bp is None and d.unknotted_extras == 1:
-            bp = base + 1
-        return _renumber(crossings, labels, bp, d.unknotted_extras - 1)
+        return _on_unknot(d, [(3, 2, 4, 3), (4, 2, 1, 1)], "poke")
 
     if arc_a == arc_b:
         raise StructureError("poke arcs must be distinct")
@@ -393,8 +344,7 @@ def reidemeister2(d: PlanarDiagram, arc_a: int | None,
     crossings = _split_arc_heads(d, [(arc_a, a2), (arc_b, b2)])
     crossings.append((m_b, m_a, b2, a1))   # positive: a passes over b
     crossings.append((b1, m_a, m_b, a2))   # negative: a returns over b
-    labels = set(range(1, d.arc_count + 5))
-    return _renumber(crossings, labels, d.basepoint, d.unknotted_extras)
+    return from_crossings(crossings, d.unknotted_extras, d.basepoint)
 
 
 def is_alternating(d: PlanarDiagram) -> bool:
@@ -420,7 +370,7 @@ def load_corpus(path: str) -> list[tuple[str, PlanarDiagram]]:
     """Load a corpus CSV (``name,pdcode`` per line, ``#`` comments)."""
     entries: list[tuple[str, PlanarDiagram]] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

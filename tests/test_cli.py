@@ -72,6 +72,12 @@ def test_compute_nonplanar_diagram_exit_2(capsys):
         assert "invalid diagram: cube edge is not a local merge" in err
 
 
+def test_compute_unorientable_diagram_exit_2(capsys):
+    code, out, err = run(capsys, "compute", "--pd", "PD[X(1,3,2,4),X(1,4,2,3)]")
+    assert code == 2 and not out
+    assert "invalid diagram: unorientable diagram" in err
+
+
 def test_sweep_nonplanar_diagram_exit_2(capsys):
     code, _, err = run(capsys, "sweep", "--pd", NONPLANAR)
     assert code == 2
@@ -99,10 +105,16 @@ def test_compute_undecodable_file_exit_2(tmp_path, capsys):
 
 def test_compute_pd_from_file(tmp_path, capsys):
     f = tmp_path / "d.pd"
-    f.write_text(TREFOIL)
-    code, out, _ = run(capsys, "compute", "--pd", f"@{f}")
-    assert code == 0
-    assert json.loads(out)["collapse_page"] == 2
+    records = []
+    for encoding in ("utf-8", "utf-8-sig"):  # the second writes a BOM
+        f.write_text(TREFOIL, encoding=encoding)
+        code, out, _ = run(capsys, "compute", "--pd", f"@{f}")
+        assert code == 0
+        record = json.loads(out)
+        assert record["collapse_page"] == 2
+        del record["meta"]
+        records.append(record)
+    assert records[0] == records[1]
 
 
 def test_size_cap_exit_3(capsys):

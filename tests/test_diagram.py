@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
+from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, braid_closure
 from khss.diagram import (
     ParseError,
     StructureError,
@@ -91,6 +91,31 @@ def test_hopf_two_components():
     assert abs(d.writhe) == 2
 
 
+def test_unorientable_diagram_rejected():
+    # arc 1 enters both crossings as their under strand
+    with pytest.raises(StructureError, match="unorientable"):
+        parse_pd("PD[X(1,3,2,4),X(1,4,2,3)]")
+
+
+def test_braid_closure_signs_are_the_letters_signs():
+    # a braid closure runs every strand upward, so crossing k has the
+    # sign of letter k; kept to knots, where every component passes under
+    # somewhere and so has a fixed direction
+    rng = random.Random(20)
+    knots = 0
+    for _ in range(3000):
+        strands = rng.randint(2, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 12))]
+        d = braid_closure(word, strands)
+        if len(d.components) != 1:
+            continue
+        knots += 1
+        assert d.signs == tuple(1 if s > 0 else -1 for s in word), word
+        assert mirror(d).signs == tuple(-s for s in d.signs), word
+    assert knots > 1000
+
+
 def test_mirror_is_involution_and_swaps_signs():
     for text in (TREFOIL, FIGURE_EIGHT, HOPF):
         d = parse_pd(text)
@@ -143,6 +168,17 @@ def test_r2_self_poke_on_unknot():
     assert d2.writhe == 0
 
 
+def test_moves_on_the_marked_crossingless_component_keep_the_mark():
+    # marked on the first U; the trefoil has arcs 1-6
+    d = parse_pd(TREFOIL + "+U+U").with_basepoint(None)
+    kinked = reidemeister1(d, None, 1)
+    assert kinked.marked_component() == (7, 8)
+    assert kinked.unknotted_extras == 1
+    poked = reidemeister2(d, None, None)
+    assert sorted(poked.marked_component()) == [7, 8, 9, 10]
+    assert poked.unknotted_extras == 1
+
+
 def test_random_moves_stay_valid():
     rng = random.Random(11)
     d = parse_pd(FIGURE_EIGHT)
@@ -180,6 +216,13 @@ def test_load_corpus_errors(tmp_path):
         load_corpus(str(spaced))
     assert exc.value.position == 7
     assert "a,  PD[X(1,2,3)]"[exc.value.position] == "X"
+
+    # a byte order mark is not part of the first line
+    bom = tmp_path / "bom.csv"
+    bom.write_text("# comment\nunknot,U\n", encoding="utf-8-sig")
+    assert [n for n, _ in load_corpus(str(bom))] == ["unknot"]
+    bom.write_text("unknot,U\ntrefoil," + TREFOIL + "\n", encoding="utf-8-sig")
+    assert [n for n, _ in load_corpus(str(bom))] == ["unknot", "trefoil"]
 
     dup = tmp_path / "dup.csv"
     dup.write_text("a,U\na,U\n")
