@@ -24,7 +24,6 @@ from .spectral import (
     PageTable,
     SpectralResult,
     Verdict,
-    basepoint_sweep,
     compare_pages,
     compute,
     khovanov_oracle,
@@ -59,7 +58,6 @@ __all__ = [
     "PageTable",
     "SpectralResult",
     "Verdict",
-    "basepoint_sweep",
     "compare_pages",
     "compute",
     "khovanov_oracle",

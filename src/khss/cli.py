@@ -1,8 +1,9 @@
-"""Command-line surface: `kh` with compute/ss/probe/invariance/tqft-check/
-grading subcommands.
+"""Command-line surface: `kh` with compute/ss/probe/invariance/sweep/
+tqft-check/grading subcommands, and the one module that drives builds.
 
 Exit codes: 0 success, 1 internal invariant violation, 2 parse/IO/usage
 error, 3 size cap exceeded or out of memory, 4 invariance mismatch.
+``main`` alone maps each failure to its code, a forked worker's too.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .diagram import (
 )
 from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
                        build, verify_d_squared)
-from .spectral import (SpectralResult, Verdict, basepoint_sweep,
-                       compare_pages, compute)
+from .spectral import SpectralResult, Verdict, compare_pages, compute
 from .tqft import (GENERATOR_ARITY, Generator, GeneratorWord, check_triangle,
                    grading_shift_word)
 
@@ -138,25 +138,13 @@ def read_pd_argument(text: str) -> PlanarDiagram:
             text = Path(text[1:]).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read PD file: {exc}")
-    try:
-        return parse_pd(text)
-    except (ParseError, StructureError) as exc:
-        raise CliError(f"invalid diagram: {exc}")
+    return parse_pd(text)
 
 
 def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
-    """``build`` with its errors mapped to exit codes, and d^2 = 0
-    checked."""
-    try:
-        c = build(d, reduced=reduced, max_generators=max_generators)
-        squares_to_zero = verify_d_squared(c)
-    except SizeCapError as exc:
-        raise CliError(str(exc), EXIT_SIZE)
-    except StructureError as exc:
-        raise CliError(f"invalid diagram: {exc}")
-    except GradingError as exc:
-        raise CliError(f"internal error: {exc}", EXIT_INTERNAL)
-    if not squares_to_zero:
+    """``build``, with d^2 = 0 checked."""
+    c = build(d, reduced=reduced, max_generators=max_generators)
+    if not verify_d_squared(c):
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)
     return c
@@ -306,10 +294,7 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
 def cmd_compute(args) -> int:
     d = read_pd_argument(args.pd)
     if args.basepoint is not None:
-        try:
-            d = d.with_basepoint(args.basepoint)
-        except StructureError as exc:
-            raise CliError(f"invalid diagram: {exc}")
+        d = d.with_basepoint(args.basepoint)
     record = _records([("", d)], args)[0]
     if args.max_page is not None:
         record["pages"] = {r: v for r, v in record["pages"].items()
@@ -352,9 +337,18 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Reduced pages marked at each arc of the marked component (the
+    diagram as it stands if crossingless) agree (arXiv:math/0405474)."""
     d = read_pd_argument(args.pd)
-    return _verdict(basepoint_sweep(
-        d, lambda dd: _build(dd, True, args.max_generators)))
+    arcs = d.marked_component() or (d.basepoint,)
+    results = [compute(_build(d.with_basepoint(arc), True,
+                              args.max_generators)) for arc in arcs]
+    for arc, result in zip(arcs[1:], results[1:]):
+        verdict = compare_pages(results[0], result)
+        if not verdict.equal:
+            return _verdict(Verdict(
+                False, f"basepoint {arcs[0]} vs {arc}: {verdict.detail}"))
+    return _verdict(Verdict(True))
 
 
 def _verdict(verdict: Verdict) -> int:
@@ -503,9 +497,15 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"kh: {exc}", file=sys.stderr)
         return exc.code
-    except ParseError as exc:
-        print(f"kh: {exc}", file=sys.stderr)
+    except (ParseError, StructureError) as exc:
+        print(f"kh: invalid diagram: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SizeCapError as exc:
+        print(f"kh: {exc}", file=sys.stderr)
+        return EXIT_SIZE
+    except GradingError as exc:
+        print(f"kh: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except MemoryError:  # from any stage, a forked worker's included
         print("kh: out of memory; lower --max-generators or raise the "
               "memory limit", file=sys.stderr)

@@ -257,7 +257,9 @@ def render(d: PlanarDiagram) -> str:
 
 
 def mirror(d: PlanarDiagram) -> PlanarDiagram:
-    """Swap over and under at every crossing; n_plus and n_minus swap."""
+    """Swap over and under at every crossing.  The signs negate when every
+    component of ``d`` passes over somewhere; the mirror of one that does
+    not passes only over, and is oriented as the module docstring says."""
     new_crossings = []
     for ci, (a, b, c, dd) in enumerate(d.crossings):
         if (d.incoming[ci] >> 3) & 1:  # over strand enters at slot d

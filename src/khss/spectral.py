@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
-from .filtered import FilteredComplex, build
+from .filtered import FilteredComplex
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,9 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 
 def _ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
     """(h, q) -> rank of d out of that slice.  Each q's slices go by
-    increasing h; a slice's column list is reduced in place, over the
-    rows of its target slice, skipping the columns at the pivot rows of
-    the slice below."""
+    increasing h; copies of a slice's columns are reduced (``s.cols``
+    is left as it is), over the rows of its target slice, skipping the
+    columns at the pivot rows of the slice below."""
     ranks: dict[tuple[int, int], int] = {}
     below, last = {}, None  # the last slice's pivot rows, and its (h, q)
     for s, target in reversed(list(c.with_targets())):
@@ -178,24 +178,4 @@ def compare_pages(a: SpectralResult, b: SpectralResult) -> Verdict:
             return Verdict(False,
                            f"first difference at page {r}, (p={p}, q={q}): "
                            f"{da.get((p, q), 0)} vs {db.get((p, q), 0)}")
-    return Verdict(True)
-
-
-def basepoint_sweep(d, build_fn=None) -> Verdict:
-    """Reduced results for every basepoint arc on the marked component
-    must agree pairwise.  ``build_fn`` builds the reduced complex of a
-    diagram (``filtered.build`` by default)."""
-    build_fn = build_fn or build
-    comp = d.marked_component()
-    if comp is None or len(comp) < 2:
-        return Verdict(True, "single-arc marked component")
-    results = []
-    for arc in comp:
-        results.append((arc, compute(build_fn(d.with_basepoint(arc)))))
-    base_arc, base = results[0]
-    for arc, res in results[1:]:
-        v = compare_pages(base, res)
-        if not v.equal:
-            return Verdict(False,
-                           f"basepoint {base_arc} vs {arc}: {v.detail}")
     return Verdict(True)

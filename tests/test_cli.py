@@ -10,18 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (FIGURE_EIGHT, NOT_LOCAL, TREFOIL, corpus_path,
+from conftest import (FIGURE_EIGHT, HOPF, NOT_LOCAL, TREFOIL, corpus_path,
                       probe_closures)
 from khss import cli, spectral, tqft
 from khss.cli import main
-from khss.cube import classify_edge
-from khss.diagram import parse_pd
+from khss.cube import SizeCapError, classify_edge
+from khss.diagram import StructureError, parse_pd
+from khss.filtered import GradingError, build
 
 
 # parses, but an R2 poke between arcs that share no face leaves cube
 # edges that are neither a merge nor a split
 NONPLANAR = ("PD[X(4,2,5,10),X(8,6,1,5),X(6,3,7,4),X(12,7,3,8),"
              "X(11,9,12,1),X(2,9,11,10)]")
+# parses, but its marked component is the one arc 1, and a cube edge is
+# not a local merge or split
+ONE_ARC = "PD[X(2,1,2,1)]"
 
 
 def run(capsys, *argv):
@@ -82,6 +86,18 @@ def test_sweep_nonplanar_diagram_exit_2(capsys):
     code, _, err = run(capsys, "sweep", "--pd", NONPLANAR)
     assert code == 2
     assert "invalid diagram" in err
+
+
+def test_sweep_builds_a_one_arc_marked_component(capsys):
+    assert parse_pd(ONE_ARC).marked_component() == (1,)
+    code, out, err = run(capsys, "sweep", "--pd", ONE_ARC)
+    assert code == 2 and not out
+    assert "invalid diagram: cube edge is not a local merge" in err
+    # the walk meets the cap before the edge pass
+    code, out, err = run(capsys, "sweep", "--pd", ONE_ARC,
+                         "--max-generators", "1")
+    assert code == 3 and not out
+    assert "more than 1 generators" in err
 
 
 def test_compute_bad_basepoint_exit_2(capsys):
@@ -241,8 +257,42 @@ def test_invariance_parse_error(capsys):
 
 
 def test_sweep(capsys):
-    code, out, _ = run(capsys, "sweep", "--pd", TREFOIL)
-    assert code == 0 and "equal" in out
+    for pd in (TREFOIL, HOPF):
+        assert run(capsys, "sweep", "--pd", pd) == (0, "equal\n", "")
+
+
+def test_sweep_mismatch_exit_4(capsys, monkeypatch):
+    # pages that depend on the marked arc: the trefoil's at the first
+    # arc, the figure-eight's at every other
+    real, calls = cli.compute, []
+    other = real(build(parse_pd(FIGURE_EIGHT)))
+
+    def by_arc(c):
+        calls.append(c)
+        return real(c) if len(calls) == 1 else other
+
+    monkeypatch.setattr(cli, "compute", by_arc)
+    code, out, err = run(capsys, "sweep", "--pd", TREFOIL)
+    assert code == 4 and not out
+    assert "mismatch: basepoint 1 vs 2: first difference at page 2" in err
+    assert len(calls) == 6  # one build per arc of the trefoil
+
+
+def test_compute_grading_error_exit_1(capsys, monkeypatch):
+    # a rule that breaks q on the edges shaped like the trefoil's at
+    # vertex 0, crossing 0; a new rule misses the cached shapes
+    shape = classify_edge(parse_pd(TREFOIL), 0, 0)
+    real = tqft.edge_columns_reduced
+
+    def corrupted(e):
+        cols = real(e)
+        return [cols[0] ^ 0b11, *cols[1:]] if e == shape else cols
+
+    monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
+    code, out, err = run(capsys, "compute", "--pd", TREFOIL)
+    assert code == 1 and not out
+    assert ("kh: internal error: edge from vertex 0 at crossing 0 "
+            "does not preserve q") in err
 
 
 def test_invariance_and_sweep_check_d_squared(capsys, monkeypatch):
@@ -441,8 +491,11 @@ def test_probe_spawned_workers_give_the_same_rows(capsys, monkeypatch, forks,
 
 def test_probe_size_cap_in_a_worker_exit_3(capsys, monkeypatch, forks,
                                            tmp_path):
-    error = pickle.loads(pickle.dumps(cli.CliError("cap", cli.EXIT_SIZE)))
-    assert error.code == cli.EXIT_SIZE  # what a worker's error carries back
+    for error in (SizeCapError("cap"), StructureError("bad"),
+                  GradingError("q"), cli.CliError("cap", cli.EXIT_SIZE)):
+        back = pickle.loads(pickle.dumps(error))  # what a worker sends
+        assert type(back) is type(error) and back.args == error.args
+    assert back.code == cli.EXIT_SIZE
     two_cpus(monkeypatch)
     corpus = tmp_path / "corpus.csv"  # the closure falls to the child
     corpus.write_text(f"unknot,U\nbig,{probe_closures()[0]}\n")
@@ -453,6 +506,18 @@ def test_probe_size_cap_in_a_worker_exit_3(capsys, monkeypatch, forks,
     assert "50 generators" in err
     assert len(forks) == 1
     assert len(list(cache.iterdir())) == 1  # the unknot's, written first
+
+
+def test_probe_invalid_diagram_in_a_worker_exit_2(capsys, monkeypatch, forks,
+                                                  tmp_path):
+    two_cpus(monkeypatch)
+    corpus = tmp_path / "corpus.csv"  # the second entry falls to the child
+    corpus.write_text(f"unknot,U\nbad,{ONE_ARC}\ntrefoil,{TREFOIL}\n")
+    code, out, err = run(capsys, "probe", str(corpus), "--threads", "2")
+    assert code == 2 and out == ""
+    assert "kh: invalid diagram: cube edge is not a local merge" in err
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_probe_dead_worker_exit_1(capsys, monkeypatch, forks, mixed_corpus):

@@ -116,6 +116,44 @@ def test_braid_closure_signs_are_the_letters_signs():
     assert knots > 1000
 
 
+def passes(d, comp, slots):
+    """Whether a component of ``d`` sits at one of ``slots`` (0 and 2 for
+    an under pass, 1 and 3 for an over pass) of some crossing."""
+    return any(cr[k] in comp for cr in d.crossings for k in slots)
+
+
+def test_mirror_negates_the_signs_when_every_component_passes_over():
+    # seeded braid closures that are links; the mirror of a component
+    # with no over pass has no under pass, and PD text cannot carry its
+    # direction, so the condition fails on some of them
+    rng = random.Random(3)
+    met = missed = 0
+    for _ in range(3000):
+        strands = rng.randint(2, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 12))]
+        d = braid_closure(word, strands)
+        if len(d.components) == 1:
+            continue
+        m = mirror(d)
+        assert parse_pd(render(m)) == m, word
+        if all(passes(d, comp, (1, 3)) for comp in d.components):
+            met += 1
+            assert m.signs == tuple(-s for s in d.signs), word
+        else:
+            missed += 1
+    assert met > 1500 and missed > 300
+
+
+def test_mirror_may_reverse_a_component_with_no_under_pass():
+    d = braid_closure([3, 2, 5, 2, 3, 1, -5, -1], 6)
+    m = mirror(d)
+    assert [comp for comp in m.components
+            if not passes(m, comp, (0, 2))] == [(8, 10), (14, 16)]
+    assert d.signs == (1, 1, -1, 1, 1, 1, 1, -1)
+    assert m.signs == (-1, -1, -1, -1, -1, -1, 1, 1)
+
+
 def test_mirror_is_involution_and_swaps_signs():
     for text in (TREFOIL, FIGURE_EIGHT, HOPF):
         d = parse_pd(text)
