@@ -246,6 +246,18 @@ def test_distinct_knots_compare_unequal():
     assert "page" in verdict.detail
 
 
+def test_basepoint_sweep_trefoil_and_hopf():
+    # the reduced pages marked at each arc of the marked component agree
+    for pd in (TREFOIL, HOPF):
+        d = parse_pd(pd)
+        arcs = d.marked_component()
+        assert len(arcs) > 1
+        pages = [compute(build(d.with_basepoint(arc), reduced=True))
+                 for arc in arcs]
+        for arc, result in zip(arcs[1:], pages[1:]):
+            assert compare_pages(pages[0], result).equal, (pd, arc)
+
+
 def test_total_homology_unknot():
     c = build(parse_pd("U"), reduced=True)
     assert compute(c).total_homology == {0: 1}
