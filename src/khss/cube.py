@@ -103,8 +103,12 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
 def walk(d: PlanarDiagram, max_generators: float = float("inf")
          ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The labels and the circle count of every vertex, by increasing
-    ``u``.  Raises ``SizeCapError`` at the first vertex that takes the
-    generators walked, 2^(circles - 1) a vertex, past ``max_generators``."""
+    ``u``.  Raises ``SizeCapError`` before the walk if the cube has more
+    vertices than ``max_generators``, else at the first vertex that takes
+    the generators walked, 2^(circles - 1) a vertex, past it."""
+    if 1 << len(d.crossings) > max_generators:
+        raise SizeCapError(
+            f"complex needs more than {max_generators} generators")
     root = list(range(d.arc_count + d.unknotted_extras + 1))
     marked = _marked_arc(d, len(root))
     members = [[a] for a in root]  # the arcs of each root's class

@@ -13,10 +13,11 @@ raises h by 1.  The paper's differential D adds the composites along
 monotone paths; it gives the same pages (see ``spectral``).
 
 Every edge map preserves q, so d maps the generators at (h, q) into
-those at (h + 1, q) alone, and ``build`` stores the complex as one
-``Slice`` per (h, q): ``cols[j]`` is the differential of local
+those at (h + 1, q) alone, and ``build`` stores the complex as a map
+from (h, q) to its ``Slice``: ``cols[j]`` is the differential of local
 generator j, bit i its coefficient on local generator i of the slice
-(h + 1, q).  A column is then only as wide as its target slice.
+keyed (h + 1, q).  A column is then only as wide as its target slice.
+The map keeps no order; ``spectral`` sorts the keys where it needs one.
 
 A slice lists its generators as runs ``(u, k)``, by increasing vertex:
 the monomials of vertex u with k letters x, in increasing order.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import cube, tqft
 from .cube import SizeCapError  # noqa: F401  (raised by the walk in build)
@@ -60,38 +61,28 @@ class KhGenerator(NamedTuple):
 
 class Slice(NamedTuple):
     """The generators at one (h, q), as runs, and the columns of d out of
-    them over the local indices of the slice (h + 1, q)."""
+    them over the local indices of the slice (h + 1, q), one a generator."""
 
     h: int
     q: int
     runs: list[tuple[int, int]]  # (u, k): u's monomials with k letters x
-    size: int
     cols: list[int]
 
 
 @dataclass
 class FilteredComplex:
-    """The complex ``build`` gives: its slices by increasing q, then
-    decreasing h, and the letter count of every vertex's monomials."""
+    """The complex ``build`` gives: a map from (h, q) to its slice, in no
+    set order, and the letter count of every vertex's monomials."""
 
-    slices: list[Slice]
+    slices: dict[tuple[int, int], Slice]
     letters: list[int]
-
-    def with_targets(self) -> Iterator[tuple[Slice, Slice | None]]:
-        """Each slice with the slice its columns map into, None when the
-        complex has no generator there."""
-        prev = None
-        for s in self.slices:
-            hit = prev is not None and prev.q == s.q and prev.h == s.h + 1
-            yield s, prev if hit else None
-            prev = s
 
     @property
     def generators(self) -> list[KhGenerator]:
         """Every generator, slice by slice, derived from the runs on every
         call (the pipeline reads the slices)."""
         out = []
-        for s in self.slices:
+        for s in self.slices.values():
             for u, k in s.runs:
                 out.extend(KhGenerator(u, m, s.h, s.q)
                            for m in _letter_runs(self.letters[u])[0][k])
@@ -99,14 +90,14 @@ class FilteredComplex:
 
     @property
     def n_generators(self) -> int:
-        return sum(s.size for s in self.slices)
+        return sum(len(s.cols) for s in self.slices.values())
 
     @property
     def components(self) -> dict[int, dict[tuple[int, int, int], int]]:
         """Jump k -> {(h, q, local column) -> mask}: the stored nonzero
         columns, all at jump 1 (the benchmark's size counters read
         this view)."""
-        return {1: {(s.h, s.q, j): col for s in self.slices
+        return {1: {(s.h, s.q, j): col for s in self.slices.values()
                     for j, col in enumerate(s.cols) if col}}
 
 
@@ -179,8 +170,6 @@ def build(d: PlanarDiagram, reduced: bool = True,
     """Assemble the filtered complex of a diagram: the reduced complex
     of ``marked_diagram(d, reduced)``."""
     d = marked_diagram(d, reduced)
-    # every vertex has a generator, so the walk passes a cap below 2^n
-    # before it has resolved the whole cube
     labels, circles = cube.walk(d, max_generators)
     letters = [c - 1 for c in circles]
 
@@ -189,28 +178,24 @@ def build(d: PlanarDiagram, reduced: bool = True,
     # (h, L_u) names the slices of its runs and their lengths once, and
     # its vertices share one list of those slices' columns.  base[u][k]
     # is where u's run with k letters x starts in its slice.
-    runs, sizes, classes, base, run_cols = {}, {}, {}, [], []
+    slices: dict[tuple[int, int], Slice] = {}
+    classes, base, run_cols = {}, [], []
     for u, k_max in enumerate(letters):
         h = u.bit_count() - d.n_minus
         cls = classes.get((h, k_max))
-        if cls is None:  # ((slice key, run length) per k, their columns)
+        if cls is None:  # ((slice, run length) per k, their columns)
             top_q = k_max + h + d.writhe
-            cls = classes[h, k_max] = ([
-                ((h, top_q - 2 * k), len(run))
-                for k, run in enumerate(_letter_runs(k_max)[0])], [])
+            spans = [(slices.setdefault(key, Slice(*key, [], [])), len(run))
+                     for k, run in enumerate(_letter_runs(k_max)[0])
+                     for key in [(h, top_q - 2 * k)]]
+            cls = classes[h, k_max] = (spans, [s.cols for s, _ in spans])
         starts = []
-        for k, (key, length) in enumerate(cls[0]):
-            start = sizes.get(key, 0)
-            starts.append(start)
-            sizes[key] = start + length
-            runs.setdefault(key, []).append((u, k))
+        for k, (s, length) in enumerate(cls[0]):
+            starts.append(len(s.cols))
+            s.cols.extend([0] * length)
+            s.runs.append((u, k))
         base.append(starts)
         run_cols.append(cls[1])
-    slices = {key: Slice(*key, runs[key], size, [0] * size)
-              for key, size in sorted(sizes.items(),
-                                      key=lambda kv: (kv[0][1], -kv[0][0]))}
-    for spans, cols in classes.values():
-        cols += [slices[key].cols for key, _ in spans]
 
     # d = sum of the edge maps: one OR per source monomial of each edge,
     # since every entry of d lies on exactly one edge
@@ -235,14 +220,15 @@ def build(d: PlanarDiagram, reduced: bool = True,
             src_cols, src_base, dst_base = run_cols[u], base[u], base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
-    return FilteredComplex(list(slices.values()), letters)
+    return FilteredComplex(slices, letters)
 
 
 def verify_d_squared(c: FilteredComplex) -> bool:
-    """True iff the differential squares to zero: every column of a slice
-    has its rows inside the next slice, and the columns there at those
-    rows sum to zero."""
-    for s, target in c.with_targets():
+    """True iff the differential squares to zero: every column of the
+    slice (h, q) has its rows inside the slice (h + 1, q), and the
+    columns there at those rows sum to zero."""
+    for (h, q), s in c.slices.items():
+        target = c.slices.get((h + 1, q))
         cols = target.cols if target is not None else []
         for mask in s.cols:
             if mask >> len(cols):

@@ -104,7 +104,7 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
     dimension at (h, q) is the slice's size minus the ranks out of it
     and into it."""
     rank: dict[tuple[int, int], int] = {}
-    for s in c.slices:
+    for hq, s in c.slices.items():
         pivots: dict[int, int] = {}  # highest row -> reduced column
         for col in s.cols:
             while col:
@@ -114,12 +114,12 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
                     pivots[top] = col
                     break
                 col ^= other
-        rank[(s.h, s.q)] = len(pivots)
+        rank[hq] = len(pivots)
     dims: dict[tuple[int, int], int] = {}
-    for s in c.slices:
-        dim = s.size - rank[(s.h, s.q)] - rank.get((s.h - 1, s.q), 0)
+    for (h, q), s in c.slices.items():
+        dim = len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0)
         if dim:
-            dims[(s.h, s.q)] = dim
+            dims[h, q] = dim
     return PageTable(2, dims)
 
 
@@ -129,14 +129,14 @@ def _ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
     is left as it is), over the rows of its target slice, skipping the
     columns at the pivot rows of the slice below."""
     ranks: dict[tuple[int, int], int] = {}
-    below, last = {}, None  # the last slice's pivot rows, and its (h, q)
-    for s, target in reversed(list(c.with_targets())):
-        width = target.size if target is not None else 0
+    below = {}  # the pivot rows of the slice reduced last
+    for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
+        s, target = c.slices[h, q], c.slices.get((h + 1, q))
+        width = len(target.cols) if target is not None else 0
         if max(map(int.bit_length, s.cols), default=0) > width:
             raise ValueError("differential does not raise h")
-        below = _reduce(s.cols, below if last == (s.h - 1, s.q) else ())
-        last = (s.h, s.q)
-        ranks[last] = len(below)
+        below = _reduce(s.cols, below if (h - 1, q) in ranks else ())
+        ranks[h, q] = len(below)
     return ranks
 
 
@@ -146,12 +146,12 @@ def compute(c: FilteredComplex) -> SpectralResult:
     rank = _ranks(c)
     dims: dict[tuple[int, int], int] = {}
     total: dict[int, int] = {}
-    for s in c.slices:
-        dim = s.size - rank[(s.h, s.q)] - rank.get((s.h - 1, s.q), 0)
+    for (h, q), s in c.slices.items():
+        dim = len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0)
         if dim:
-            dims[(s.h, s.q)] = dim
-            total[s.q] = total.get(s.q, 0) + dim
-    heights = [s.h for s in c.slices]
+            dims[h, q] = dim
+            total[q] = total.get(q, 0) + dim
+    heights = [h for h, _ in c.slices]
     length = max(heights) - min(heights) if heights else 0
     # d has jump 1 alone, so every page from 2 on is page 2
     pages = tuple(PageTable(r, dict(dims))

@@ -6,13 +6,13 @@ A general filtered complex, whose differential may raise h by any
 amount, is a ``BlockComplex``: one ``QBlock`` per q, ordered by h,
 highest first, with columns over the whole block.  The planted
 complexes and the composite differential D are of this kind.
-``filtered.build`` stores d per (h, q) slice, each column over its
-target slice.  Its block view stacks the slices of one q, h highest
-first, and shifts every column by the offset of its target slice in the
-block, so that a column is a mask over the whole block.  A block column
-is as wide as its row offset inside the block, so the blocks of d take
-memory quadratic in their widths where the slices take it about linear
-in the nonzeros.
+``filtered.build`` stores d as a map from (h, q) to its slice, each
+column over its target slice.  Its block view sorts the slices by q,
+then h highest first, stacks the slices of one q, and shifts every
+column by the offset of its target slice in the block, so that a column
+is a mask over the whole block.  A block column is as wide as its row
+offset inside the block, so the blocks of d take memory quadratic in
+their widths where the slices take it about linear in the nonzeros.
 
 All pages of a q-block come from one left-to-right column reduction of
 its total differential, the pairing of persistent homology
@@ -64,16 +64,18 @@ def block_view(c: FilteredComplex | BlockComplex) -> BlockComplex:
     a ``FilteredComplex`` stacked per q."""
     if isinstance(c, BlockComplex):
         return c
-    gens = iter(c.generators)
+    gens = iter(c.generators)  # slice by slice, in the map's order
+    own = {hq: [next(gens) for _ in s.cols] for hq, s in c.slices.items()}
+    order = sorted(c.slices, key=lambda hq: (hq[1], -hq[0]))
     blocks: dict[int, QBlock] = {}
     offset: dict[tuple[int, int], int] = {}
-    for s in c.slices:
-        block = blocks.setdefault(s.q, QBlock(s.q, [], []))
-        offset[(s.h, s.q)] = len(block.generators)
-        block.generators.extend(next(gens) for _ in range(s.size))
-    for s in c.slices:
-        shift = offset.get((s.h + 1, s.q), 0)
-        blocks[s.q].cols.extend(col << shift for col in s.cols)
+    for h, q in order:
+        block = blocks.setdefault(q, QBlock(q, [], []))
+        offset[h, q] = len(block.generators)
+        block.generators.extend(own[h, q])
+    for h, q in order:
+        shift = offset.get((h + 1, q), 0)
+        blocks[q].cols.extend(col << shift for col in c.slices[h, q].cols)
     return BlockComplex(list(blocks.values()))
 
 

@@ -121,23 +121,19 @@ def stored_entries(c) -> set:
 
 
 def slice_faults(c: FilteredComplex) -> list[str]:
-    """Where the slices of ``build`` break their layout: one slice per
-    (h, q), ordered by increasing q, then decreasing h, its size the
-    length of its runs, and every column a mask over its target slice
-    (h + 1, q)."""
+    """Where the slices of ``build`` break their layout: each slice keyed
+    by its own (h, q), one column per generator of its runs, and every
+    column a mask over its target slice, keyed (h + 1, q)."""
     faults = []
-    keys = [(s.q, -s.h) for s in c.slices]
-    if keys != sorted(set(keys)):
-        faults.append("slices are not one per (h, q), by q, then h down")
-    size = {(s.h, s.q): s.size for s in c.slices}
-    for s in c.slices:
-        run_sizes = sum(comb(c.letters[u], k) for u, k in s.runs)
-        if len(s.cols) != s.size or run_sizes != s.size:
-            faults.append(f"(h, q) = {s.h, s.q}: runs, size and columns "
-                          f"disagree")
-        rows = size.get((s.h + 1, s.q), 0)
+    for (h, q), s in c.slices.items():
+        if (s.h, s.q) != (h, q):
+            faults.append(f"(h, q) = {h, q} keys the slice at {s.h, s.q}")
+        if sum(comb(c.letters[u], k) for u, k in s.runs) != len(s.cols):
+            faults.append(f"(h, q) = {h, q}: runs and columns disagree")
+        target = c.slices.get((h + 1, q))
+        rows = len(target.cols) if target is not None else 0
         if any(col >> rows for col in s.cols):
-            faults.append(f"(h, q) = {s.h, s.q}: a column leaves its "
+            faults.append(f"(h, q) = {h, q}: a column leaves its "
                           f"target slice")
     return faults
 

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (FIGURE_EIGHT, HOPF, NOT_LOCAL, TREFOIL, corpus_path,
-                      probe_closures)
+from conftest import (FIGURE_EIGHT, HOPF, NOT_LOCAL, TREFOIL, braid_closure,
+                      corpus_path, probe_closures)
 from khss import cli, spectral, tqft
 from khss.cli import main
 from khss.cube import SizeCapError, classify_edge
-from khss.diagram import StructureError, parse_pd
+from khss.diagram import StructureError, parse_pd, render
 from khss.filtered import GradingError, build
 
 
@@ -181,6 +181,16 @@ def test_invariance_size_cap_exit_3(capsys):
                        "--pd2", TREFOIL, "--max-generators", "4")
     assert code == 3
     assert "generators" in err
+
+
+def test_size_cap_above_the_recursion_limit_exit_3(capsys):
+    # the walk recurses once per crossing; T(2,1001) has more vertices
+    # than the default cap, so the cap fires before the walk starts
+    pd = render(braid_closure([1] * 1001, 2))
+    for command in ("compute", "sweep"):
+        code, out, err = run(capsys, command, "--pd", pd)
+        assert code == 3 and not out, command
+        assert err == f"kh: complex needs more than {1 << 26} generators\n"
 
 
 def test_max_generators_below_one_exit_2(capsys):

@@ -229,16 +229,18 @@ def test_bit_flip_breaks_d_squared():
     # negative control: corrupting one entry must be detected; target a
     # row whose own outgoing column is nonzero so the square cannot stay 0
     c = build(parse_pd(TREFOIL), reduced=True)
-    s, r = next((s, r) for s, t in c.with_targets() if t is not None
-                for r, col in enumerate(t.cols) if col)
+    s, r = next((s, r) for (h, q), s in c.slices.items()
+                if (h + 1, q) in c.slices
+                for r, col in enumerate(c.slices[h + 1, q].cols) if col)
     s.cols[0] ^= 1 << r
     assert not verify_d_squared(c)
 
 
 def test_a_column_past_its_target_slice_is_caught():
     c = build(parse_pd(TREFOIL), reduced=True)
-    s, t = next((s, t) for s, t in c.with_targets() if t is not None)
-    s.cols[0] |= 1 << t.size
+    s, t = next((s, c.slices[h + 1, q]) for (h, q), s in c.slices.items()
+                if (h + 1, q) in c.slices)
+    s.cols[0] |= 1 << len(t.cols)
     assert not verify_d_squared(c)
     assert global_layout.slice_faults(c) != []
 
@@ -259,7 +261,7 @@ def test_build_creates_no_generator_objects(monkeypatch):
 
 def mask_bytes_per_nonzero(c) -> float:
     """Bytes of the stored column masks per nonzero of d."""
-    cols = [col for s in c.slices for col in s.cols]
+    cols = [col for s in c.slices.values() for col in s.cols]
     return (sum(col.bit_length() for col in cols) / 8
             / sum(col.bit_count() for col in cols))
 
@@ -292,9 +294,9 @@ def torus_pd(n: int) -> str:
         f"{arc(2 * k + 5)})" for k in range(n)) + "]"
 
 
-def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
-    assert torus_pd(3) == TREFOIL
-    d = parse_pd(torus_pd(22))
+def vertices_walked(monkeypatch, pd: str, cap: int) -> int:
+    """How many vertices the walk numbers before ``build`` of ``pd``
+    raises ``SizeCapError`` under ``cap``."""
     real = cube.itemgetter
     taken = []
 
@@ -304,10 +306,21 @@ def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
 
     monkeypatch.setattr(cube, "itemgetter", counted)
     with pytest.raises(SizeCapError):
-        build(d, reduced=True, max_generators=1000)
-    # every vertex has a generator, so the cap is passed within 1001 of
-    # the 2^22 vertices
-    assert 0 < len(taken) <= 1001
+        build(parse_pd(pd), reduced=True, max_generators=cap)
+    return len(taken)
+
+
+def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
+    # every vertex has a generator, so a cap below the 2^22 vertices is
+    # refused before the walk resolves any
+    assert torus_pd(3) == TREFOIL
+    assert vertices_walked(monkeypatch, torus_pd(22), 1000) == 0
+
+
+def test_size_cap_fires_within_the_walk(monkeypatch):
+    # a cap of 2^16 lets the walk start on the 2^16 vertices of T(2,16),
+    # and the generators pass it before the last vertex
+    assert 0 < vertices_walked(monkeypatch, torus_pd(16), 1 << 16) < 1 << 16
 
 
 def test_r2_square_diagonal_matches_path_composite():

@@ -38,14 +38,14 @@ def dense_rank_dims(c):
     """(h, q) -> size less the ranks out and in, each rank by dense
     elimination of the slice's columns over its target slice."""
     rank = {}
-    for s, target in c.with_targets():
-        m = target.size if target is not None else 0
+    for (h, q), s in c.slices.items():
+        target = c.slices.get((h + 1, q))
+        m = len(target.cols) if target is not None else 0
         dense = np.array([[(col >> r) & 1 for col in s.cols]
                           for r in range(m)], dtype=np.uint8)
-        rank[(s.h, s.q)] = naive.rank_gf2(dense.reshape(m, s.size))
-    return {(s.h, s.q): dim for s in c.slices
-            if (dim := s.size - rank[(s.h, s.q)]
-                - rank.get((s.h - 1, s.q), 0))}
+        rank[h, q] = naive.rank_gf2(dense.reshape(m, len(s.cols)))
+    return {(h, q): dim for (h, q), s in c.slices.items()
+            if (dim := len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0))}
 
 
 def test_page_two_and_oracle_against_dense_rank(store):
@@ -167,7 +167,8 @@ def reduced_slices(c, monkeypatch):
     monkeypatch.setattr(spectral, "_reduce", recorded)
     compute(c)
     monkeypatch.undo()
-    return calls, c.slices[::-1]  # each q's slices by increasing h
+    order = sorted(c.slices, key=lambda hq: (hq[1], hq[0]))
+    return calls, [c.slices[hq] for hq in order]  # by q, then h up
 
 
 def cleared_columns(c, monkeypatch):
@@ -192,9 +193,10 @@ def test_compute_leaves_the_stored_columns_as_they_are(store):
     for name in store.names():
         for reduced in (True, False):
             c = store.complex(name, reduced)
-            before = [list(s.cols) for s in c.slices]
+            before = [list(s.cols) for s in c.slices.values()]
             compute(c)
-            assert [s.cols for s in c.slices] == before, (name, reduced)
+            after = [s.cols for s in c.slices.values()]
+            assert after == before, (name, reduced)
 
 
 def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
@@ -203,7 +205,8 @@ def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
     complexes += [build(parse_pd(pd)) for pd in probe_closures()]
     total = 0
     for c in complexes:
-        pivots = {(s.h, s.q): plain_elimination(s.cols) for s in c.slices}
+        pivots = {hq: plain_elimination(s.cols)
+                  for hq, s in c.slices.items()}
         for s, skipped in cleared_columns(c, monkeypatch):
             below, _ = pivots.get((s.h - 1, s.q), (set(), set()))
             assert len(skipped) == len(below)
@@ -216,8 +219,8 @@ def test_a_cleared_column_past_its_target_slice_is_caught(monkeypatch):
     c = build(parse_pd(FIGURE_EIGHT), reduced=False)
     s, skipped = next((s, skipped) for s, skipped
                       in cleared_columns(c, monkeypatch) if skipped)
-    width = next((t.size for u, t in c.with_targets()
-                  if u is s and t is not None), 0)
+    target = c.slices.get((s.h + 1, s.q))
+    width = len(target.cols) if target is not None else 0
     s.cols[min(skipped)] |= 1 << width
     with pytest.raises(ValueError, match="differential does not raise h"):
         compute(c)
