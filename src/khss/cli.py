@@ -379,8 +379,6 @@ def random_word(rng: random.Random) -> GeneratorWord:
 
 
 def cmd_tqft_check(args) -> int:
-    if args.count < 1:
-        raise CliError("--count must be at least 1")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):
@@ -474,7 +472,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("tqft-check",
                         help="random-word equality of the two TQFTs")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_tqft_check)
 

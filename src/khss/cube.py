@@ -12,14 +12,15 @@ circle the flipped crossing does not touch has the same arcs at both
 ends of an edge, so those circles keep their relative order, and the
 edge maps pair them up in increasing index order.
 
-``walk`` resolves every vertex in one recursive depth-first search over
-the crossings, crossing 0 deepest, into two flat lists by increasing
-vertex: labels and circle counts.  It keeps the root of every arc
-current (quick-find): a union relabels the arcs of the smaller class,
-and undoing it once the crossing's subtree is done relabels them back,
-so a vertex numbers its circles without a find.  It counts generators
-as it goes, so a size cap stops it at the vertex that passes the cap.
-``resolve`` computes one vertex from scratch, as a ``Resolution``.
+``walk`` resolves every vertex in one depth-first loop over an explicit
+stack of the crossings, crossing 0 deepest, into two flat lists by
+increasing vertex: labels and circle counts.  A stack entry holds the
+root of every arc as one character of an immutable string; smoothing a
+crossing replaces one class's character by the other's, so each child
+gets its own string, nothing is undone, and a vertex numbers its
+circles without a find.  It counts generators as it goes, so a size
+cap stops it at the vertex that passes the cap.  ``resolve`` computes
+one vertex from scratch with a union-find, as a ``Resolution``.
 
 An edge is therefore described by its shape alone: merge or split, the
 source's circle count, and the indices of the circles the crossing
@@ -29,6 +30,7 @@ edges of the same shape share one map.
 
 from __future__ import annotations
 
+import sys
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -104,50 +106,42 @@ def walk(d: PlanarDiagram, max_generators: float = float("inf")
          ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The labels and the circle count of every vertex, by increasing
     ``u``.  Raises ``SizeCapError`` before the walk if the cube has more
-    vertices than ``max_generators``, else at the first vertex that takes
-    the generators walked, 2^(circles - 1) a vertex, past it."""
-    if 1 << len(d.crossings) > max_generators:
+    generators than ``max_generators`` by a lower bound, else at the
+    first vertex that takes the generators walked, 2^(circles - 1) a
+    vertex, past it."""
+    n = len(d.crossings)
+    cap = min(max_generators, sys.maxsize)  # a list holds no more labels
+    # every vertex has each extra as a circle, and one more through the
+    # crossings if there are any
+    if 1 << n + d.unknotted_extras - (n == 0) > cap:
         raise SizeCapError(
             f"complex needs more than {max_generators} generators")
-    root = list(range(d.arc_count + d.unknotted_extras + 1))
-    marked = _marked_arc(d, len(root))
-    members = [[a] for a in root]  # the arcs of each root's class
-    pairings = [(smoothing_pairings(cr, 0), smoothing_pairings(cr, 1))
+    arcs = d.arc_count + d.unknotted_extras + 1
+    marked = _marked_arc(d, arcs)
+    pairings = [(smoothing_pairings(cr, 1), smoothing_pairings(cr, 0))
                 for cr in d.crossings]
     labels, circles, total = [], [], 0  # total: generators walked
-
-    def visit(i: int) -> None:
-        nonlocal total
-        if i < 0:  # number the circles as ``resolve`` does
-            first = dict.fromkeys([root[0], root[marked], *root])
-            labels.append(itemgetter(*root)(
-                dict(zip(first, range(-1, len(first))))))
-            circles.append(len(first) - 1)
-            total += 1 << (len(first) - 2)
-            if total > max_generators:
-                raise SizeCapError(
-                    f"complex needs more than {max_generators} generators")
-            return
-        for pairs in pairings[i]:
-            done = []
-            for x, y in pairs:
-                big, small = root[x], root[y]
-                if big != small:
-                    if len(members[big]) < len(members[small]):
-                        big, small = small, big
-                    for a in members[small]:
-                        root[a] = big
-                    members[big] += members[small]
-                    done.append((big, small))
-            visit(i - 1)
-            for big, small in reversed(done):
-                moved = members[small]
-                del members[big][-len(moved):]
-                for a in moved:
-                    root[a] = small
-
-    visit(len(d.crossings) - 1)
-    del visit  # the closure refers to itself: free the lists with the caller
+    # (next crossing, the root of every arc, one character each): the
+    # 1-smoothing is pushed first, so u increases with crossing 0 deepest
+    stack = [(n - 1, "".join(map(chr, range(arcs))))]
+    while stack:
+        i, roots = stack.pop()
+        if i >= 0:
+            for pairs in pairings[i]:
+                joined = roots
+                for x, y in pairs:
+                    joined = joined.replace(joined[y], joined[x])
+                stack.append((i - 1, joined))
+            continue
+        # number the circles as ``resolve`` does
+        first = dict.fromkeys([roots[0], roots[marked], *roots])
+        labels.append(itemgetter(*roots)(
+            dict(zip(first, range(-1, len(first))))))
+        circles.append(len(first) - 1)
+        total += 1 << (len(first) - 2)
+        if total > max_generators:
+            raise SizeCapError(
+                f"complex needs more than {max_generators} generators")
     return labels, circles
 
 

@@ -54,10 +54,6 @@ class PageTable:
     def total(self) -> int:
         return sum(self.dims.values())
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PageTable) and self.r == other.r
-                and self.dims == other.dims)
-
 
 @dataclass(frozen=True)
 class SpectralResult:

@@ -184,13 +184,16 @@ def test_invariance_size_cap_exit_3(capsys):
 
 
 def test_size_cap_above_the_recursion_limit_exit_3(capsys):
-    # the walk recurses once per crossing; T(2,1001) has more vertices
-    # than the default cap, so the cap fires before the walk starts
+    # T(2,1001) has at least 2^1001 generators, more than the default cap
+    # and more than a list can hold under a cap of 2^1002: both are
+    # refused before the walk, which would never finish
     pd = render(braid_closure([1] * 1001, 2))
-    for command in ("compute", "sweep"):
-        code, out, err = run(capsys, command, "--pd", pd)
-        assert code == 3 and not out, command
-        assert err == f"kh: complex needs more than {1 << 26} generators\n"
+    for cap in (1 << 26, 1 << 1002):
+        for command in ("compute", "sweep"):
+            code, out, err = run(capsys, command, "--pd", pd,
+                                 "--max-generators", str(cap))
+            assert code == 3 and not out, command
+            assert err == f"kh: complex needs more than {cap} generators\n"
 
 
 def test_max_generators_below_one_exit_2(capsys):

@@ -9,7 +9,7 @@ from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, filtered, tqft
 from khss.cube import classify_edge, resolve
-from khss.diagram import parse_pd, reidemeister2
+from khss.diagram import from_crossings, parse_pd, reidemeister2
 from khss.filtered import (GradingError, SizeCapError, build, marked_diagram,
                            verify_d_squared)
 
@@ -294,9 +294,9 @@ def torus_pd(n: int) -> str:
         f"{arc(2 * k + 5)})" for k in range(n)) + "]"
 
 
-def vertices_walked(monkeypatch, pd: str, cap: int) -> int:
-    """How many vertices the walk numbers before ``build`` of ``pd``
-    raises ``SizeCapError`` under ``cap``."""
+def vertices_walked(monkeypatch, d, cap: float) -> int:
+    """How many vertices ``cube.walk`` numbers before it raises
+    ``SizeCapError`` on ``d`` under ``cap``."""
     real = cube.itemgetter
     taken = []
 
@@ -306,7 +306,7 @@ def vertices_walked(monkeypatch, pd: str, cap: int) -> int:
 
     monkeypatch.setattr(cube, "itemgetter", counted)
     with pytest.raises(SizeCapError):
-        build(parse_pd(pd), reduced=True, max_generators=cap)
+        cube.walk(d, cap)
     return len(taken)
 
 
@@ -314,13 +314,21 @@ def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
     # every vertex has a generator, so a cap below the 2^22 vertices is
     # refused before the walk resolves any
     assert torus_pd(3) == TREFOIL
-    assert vertices_walked(monkeypatch, torus_pd(22), 1000) == 0
+    assert vertices_walked(monkeypatch, parse_pd(torus_pd(22)), 1000) == 0
 
 
 def test_size_cap_fires_within_the_walk(monkeypatch):
     # a cap of 2^16 lets the walk start on the 2^16 vertices of T(2,16),
     # and the generators pass it before the last vertex
-    assert 0 < vertices_walked(monkeypatch, torus_pd(16), 1 << 16) < 1 << 16
+    walked = vertices_walked(monkeypatch, parse_pd(torus_pd(16)), 1 << 16)
+    assert 0 < walked < 1 << 16
+
+
+def test_size_cap_counts_the_crossingless_circles(monkeypatch):
+    # one vertex, but 2^(0x110000 - 1) generators: more than a list can
+    # hold even with no cap, refused before the walk names its arcs
+    d = from_crossings((), extras=0x110000)
+    assert vertices_walked(monkeypatch, d, float("inf")) == 0
 
 
 def test_r2_square_diagonal_matches_path_composite():

@@ -10,12 +10,17 @@ from this pipeline.
   total dimension det(K) (Manolescu and Ozsvath, arXiv:0708.3249).  A
   braid word whose sigma_i all have sign (-1)^(i+1) closes to an
   alternating diagram.  det(K) comes from the Fox colouring matrix in
-  ``perfbench/checks.py``, which reads the PD text alone.
+  ``perfbench/checks.py``, which reads the PD text alone, and from the
+  spanning trees of the Tait graph in ``tests/tait.py``, which reads the
+  crossing tuples alone.
 """
 
 import random
 import sys
 
+import pytest
+
+import tait
 from conftest import ROOT
 from khss.diagram import parse_pd
 from khss.filtered import build, verify_d_squared
@@ -83,8 +88,9 @@ def test_markov_moves_keep_the_pages():
     assert page_two(c) != want
 
 
-def test_thin_knots_have_their_determinant_on_one_diagonal():
-    braid_closure_pd, fox_determinant = outside_modules()
+def alternating_closures(braid_closure_pd) -> list[str]:
+    """Three seeded alternating 12-crossing knot closures, on 3, 3 and 5
+    strands."""
     rng = random.Random("thin:1")
     cases = []
     for strands in (3, 3, 5):  # a 12-letter word closes to no 4-cycle
@@ -95,6 +101,12 @@ def test_thin_knots_have_their_determinant_on_one_diagonal():
                 break
         assert {abs(x) for x in word} == set(range(1, strands))
         cases.append(braid_closure_pd(word, strands))
+    return cases
+
+
+def test_thin_knots_have_their_determinant_on_one_diagonal():
+    braid_closure_pd, fox_determinant = outside_modules()
+    cases = alternating_closures(braid_closure_pd)
     torus = [braid_closure_pd([1] * n, 2) for n in range(3, 12, 2)]
     assert [fox_determinant(pd) for pd in torus] == list(range(3, 12, 2))
     for pd in cases + torus:
@@ -103,5 +115,34 @@ def test_thin_knots_have_their_determinant_on_one_diagonal():
         assert len({q - 2 * h for h, q in dims}) == 1, pd
     # mutation control: one flipped stored bit is caught
     c = build(parse_pd(cases[0]))
+    flip_one_bit(c)
+    assert page_two(c) is None
+
+
+def test_tait_graph_counts_the_fox_determinant():
+    braid_closure_pd, fox_determinant = outside_modules()
+    cases = alternating_closures(braid_closure_pd) + [
+        braid_closure_pd([1] * n, 2) for n in range(3, 14, 2)]
+    for pd in cases:
+        crossings = parse_pd(pd).crossings
+        assert tait.determinant(crossings) == fox_determinant(pd), pd
+    # mutation control: dropping one Tait edge changes the count
+    vertices, edges = tait.tait_graph(parse_pd(cases[0]).crossings)
+    assert (tait.spanning_trees(vertices, edges[1:])
+            != tait.spanning_trees(vertices, edges))
+    # (s1 s2)^4 is a positive braid closure, not an alternating diagram
+    with pytest.raises(AssertionError, match="not alternating"):
+        tait.determinant(parse_pd(braid_closure_pd([1, 2] * 4, 3)).crossings)
+
+
+def test_a_14_crossing_alternating_knot_is_thin():
+    # the closure of (s1 s2^-1)^7 on 3 strands: 14 crossings, det 841
+    braid_closure_pd, _ = outside_modules()
+    d = parse_pd(braid_closure_pd([1, -2] * 7, 3))
+    c = build(d)
+    dims = page_two(c)
+    assert sum(dims.values()) == tait.determinant(d.crossings) == 841
+    assert len({q - 2 * h for h, q in dims}) == 1
+    # mutation control: one flipped stored bit is caught
     flip_one_bit(c)
     assert page_two(c) is None
