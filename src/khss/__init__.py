@@ -13,10 +13,7 @@ from .diagram import (
     StructureError,
     is_alternating,
     load_corpus,
-    mirror,
     parse_pd,
-    reidemeister1,
-    reidemeister2,
     render,
 )
 from .filtered import FilteredComplex, SizeCapError, build, verify_d_squared
@@ -34,7 +31,6 @@ from .tqft import (
     GradingShift,
     check_triangle,
     evaluate_word,
-    grading_shift_surface,
     grading_shift_word,
 )
 
@@ -46,10 +42,7 @@ __all__ = [
     "StructureError",
     "is_alternating",
     "load_corpus",
-    "mirror",
     "parse_pd",
-    "reidemeister1",
-    "reidemeister2",
     "render",
     "FilteredComplex",
     "SizeCapError",
@@ -67,6 +60,5 @@ __all__ = [
     "check_triangle",
     "evaluate_word",
     "grading_shift_word",
-    "grading_shift_surface",
     "__version__",
 ]

@@ -12,7 +12,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import random
@@ -141,13 +140,14 @@ def read_pd_argument(text: str) -> PlanarDiagram:
     return parse_pd(text)
 
 
-def _build(d: PlanarDiagram, reduced: bool, max_generators: int):
-    """``build``, with d^2 = 0 checked."""
+def _pages(d: PlanarDiagram, reduced: bool,
+           max_generators: int) -> SpectralResult:
+    """The pages of one diagram: ``build``, d^2 = 0 checked, ``compute``."""
     c = build(d, reduced=reduced, max_generators=max_generators)
     if not verify_d_squared(c):
         raise CliError("internal error: differential does not square to zero",
                        EXIT_INTERNAL)
-    return c
+    return compute(c)
 
 
 def _cache_dir(args) -> Path | None:
@@ -169,7 +169,7 @@ def _record(item: tuple[str, PlanarDiagram], reduced: bool,
     pages."""
     name, d = item
     t0 = time.perf_counter()
-    result = compute(_build(d, reduced, max_generators))
+    result = _pages(d, reduced, max_generators)
     return run_record(d, reduced, result, name, time.perf_counter() - t0)
 
 
@@ -300,14 +300,12 @@ def cmd_compute(args) -> int:
         record["pages"] = {r: v for r, v in record["pages"].items()
                            if int(r) <= args.max_page}
     if args.output == "csv":
-        out = io.StringIO()
-        w = csv.writer(out)
+        w = csv.writer(sys.stdout)
         w.writerow(["page", "p", "q", "dim"])
         for r, table in sorted(record["pages"].items(), key=lambda kv: int(kv[0])):
             for key, dim in table.items():
                 p, q = key.split(",")
                 w.writerow([r, p, q, dim])
-        sys.stdout.write(out.getvalue())
     else:
         print(json.dumps(record, sort_keys=True, indent=1))
     return EXIT_OK
@@ -331,8 +329,8 @@ def cmd_probe(args) -> int:
 def cmd_invariance(args) -> int:
     a = read_pd_argument(args.pd)
     b = read_pd_argument(args.pd2)
-    ra = compute(_build(a, args.reduced, args.max_generators))
-    rb = compute(_build(b, args.reduced, args.max_generators))
+    ra = _pages(a, args.reduced, args.max_generators)
+    rb = _pages(b, args.reduced, args.max_generators)
     return _verdict(compare_pages(ra, rb))
 
 
@@ -341,8 +339,8 @@ def cmd_sweep(args) -> int:
     diagram as it stands if crossingless) agree (arXiv:math/0405474)."""
     d = read_pd_argument(args.pd)
     arcs = d.marked_component() or (d.basepoint,)
-    results = [compute(_build(d.with_basepoint(arc), True,
-                              args.max_generators)) for arc in arcs]
+    results = [_pages(d.with_basepoint(arc), True, args.max_generators)
+               for arc in arcs]
     for arc, result in zip(arcs[1:], results[1:]):
         verdict = compare_pages(results[0], result)
         if not verdict.equal:

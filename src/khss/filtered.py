@@ -230,14 +230,8 @@ def verify_d_squared(c: FilteredComplex) -> bool:
     for (h, q), s in c.slices.items():
         target = c.slices.get((h + 1, q))
         cols = target.cols if target is not None else []
-        for mask in s.cols:
-            if mask >> len(cols):
-                return False
-            acc = 0
-            while mask:  # clearing the top bit shrinks the int each step
-                top = mask.bit_length() - 1
-                acc ^= cols[top]
-                mask ^= 1 << top
-            if acc:
-                return False
+        if max(map(int.bit_length, s.cols), default=0) > len(cols):
+            return False
+        if any(tqft.compose_columns(s.cols, cols)):
+            return False
     return True

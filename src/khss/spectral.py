@@ -138,7 +138,7 @@ def _ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
 
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment.  The
-    differential must square to zero (``cli._build`` checks it)."""
+    differential must square to zero (``cli._pages`` checks it)."""
     rank = _ranks(c)
     dims: dict[tuple[int, int], int] = {}
     total: dict[int, int] = {}

@@ -90,10 +90,10 @@ def compose_columns(first: list[int], second: list[int]) -> list[int]:
     out = []
     for mask in first:
         acc = 0
-        while mask:
-            low = mask & -mask
-            acc ^= second[low.bit_length() - 1]
-            mask ^= low
+        while mask:  # clearing the top bit shrinks the int each step
+            top = mask.bit_length() - 1
+            acc ^= second[top]
+            mask ^= 1 << top
         out.append(acc)
     return out
 
@@ -296,12 +296,3 @@ def grading_shift_word(kinds: list[str]) -> GradingShift:
             raise ValueError(f"unknown elementary cobordism kind {kind!r}")
         total = total + GradingShift(*_SHIFT_TABLE[kind])
     return total
-
-
-def grading_shift_surface(chi_f: int, chi_rplus: int,
-                          chi_rminus: int) -> GradingShift:
-    """Shift from Euler characteristics of the surface and its positive
-    and negative decoration regions."""
-    a2 = chi_rplus - chi_rminus
-    m2 = chi_f + a2
-    return GradingShift(a2, m2)

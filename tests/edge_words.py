@@ -5,13 +5,15 @@ through the stated generator matrices must equal
 circles of all four arcs of its crossing, the oracle of
 ``cube.edge_between``, and the unreduced edge map by the direct
 merge/split rule, the oracle of ``tqft.edge_columns_unreduced``.
+Last, the grading shift of a surface from its Euler characteristics,
+the oracle of ``tqft.grading_shift_word``.
 """
 
 from __future__ import annotations
 
 from khss.cube import EdgeCobordism, Resolution, classify_edge, resolve
 from khss.diagram import PlanarDiagram, StructureError
-from khss.tqft import (Generator, GeneratorWord, evaluate_word,
+from khss.tqft import (Generator, GeneratorWord, GradingShift, evaluate_word,
                        letter_coproduct, letter_product)
 
 
@@ -131,3 +133,12 @@ def unreduced_columns(e: EdgeCobordism) -> list[int]:
             acc ^= 1 << x
         cols.append(acc)
     return cols
+
+
+def grading_shift_surface(chi_f: int, chi_rplus: int,
+                          chi_rminus: int) -> GradingShift:
+    """Shift from Euler characteristics of the surface and its positive
+    and negative decoration regions."""
+    a2 = chi_rplus - chi_rminus
+    m2 = chi_f + a2
+    return GradingShift(a2, m2)

@@ -10,7 +10,8 @@ from fractions import Fraction
 import global_layout
 import naive
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
-from edge_words import edge_as_generator_word, edge_word_columns
+from edge_words import (edge_as_generator_word, edge_word_columns,
+                        grading_shift_surface)
 from global_layout import all_monotone_paths, diagonal_map
 from khss.cli import random_word
 from khss.cube import classify_edge
@@ -18,8 +19,6 @@ from khss.diagram import (
     StructureError,
     is_alternating,
     parse_pd,
-    reidemeister1,
-    reidemeister2,
 )
 from khss.filtered import build, verify_d_squared
 from khss.spectral import compare_pages, compute, khovanov_oracle
@@ -27,11 +26,11 @@ from khss.tqft import (
     _SHIFT_TABLE,
     check_triangle,
     edge_columns_reduced,
-    grading_shift_surface,
     grading_shift_word,
     hfl_columns,
     reduced_columns,
 )
+from moves import reidemeister1, reidemeister2
 from test_tqft import all_generators
 
 

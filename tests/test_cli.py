@@ -104,6 +104,10 @@ def test_compute_bad_basepoint_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--pd", TREFOIL, "--basepoint", "99")
     assert code == 2
     assert "invalid diagram: basepoint 99 is not a valid arc" in err
+    # the same check on a basepoint given in the PD text
+    code, _, err = run(capsys, "compute", "--pd", TREFOIL + "@arc=99")
+    assert code == 2
+    assert "invalid diagram: basepoint 99 is not a valid arc" in err
 
 
 def test_compute_unreadable_file_exit_2(capsys):

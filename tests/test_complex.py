@@ -9,9 +9,10 @@ from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, filtered, tqft
 from khss.cube import classify_edge, resolve
-from khss.diagram import from_crossings, parse_pd, reidemeister2
+from khss.diagram import from_crossings, parse_pd
 from khss.filtered import (GradingError, SizeCapError, build, marked_diagram,
                            verify_d_squared)
+from moves import reidemeister2
 
 
 def dims_by_h(c):

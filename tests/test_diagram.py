@@ -6,14 +6,13 @@ from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, braid_closure
 from khss.diagram import (
     ParseError,
     StructureError,
+    from_crossings,
     is_alternating,
     load_corpus,
-    mirror,
     parse_pd,
-    reidemeister1,
-    reidemeister2,
     render,
 )
+from moves import mirror, reidemeister1, reidemeister2
 
 
 def test_parse_trefoil():
@@ -65,9 +64,16 @@ def test_parse_error_positions_index_the_input(text, position):
 
 
 def test_arc_count_validation():
-    # arc 1 appears once, arc 7 once
-    with pytest.raises(StructureError):
+    # arc 7 is out of range before arc 1 is counted once
+    with pytest.raises(StructureError, match="out of range"):
         parse_pd("PD[X(1,4,2,5),X(3,6,4,7),X(5,2,6,3)]")
+    # arc 1 appears three times, arc 2 once
+    with pytest.raises(StructureError, match="arcs must appear exactly twice"):
+        parse_pd("PD[X(1,1,1,2)]")
+    with pytest.raises(StructureError, match="empty diagram"):
+        from_crossings(())
+    with pytest.raises(StructureError, match="does not have 4 arcs"):
+        from_crossings([(1, 2, 3)])
 
 
 def test_signs_left_handed_trefoil():
@@ -166,6 +172,10 @@ def test_render_roundtrip():
     for text in (TREFOIL, FIGURE_EIGHT, HOPF, "U"):
         d = parse_pd(text)
         assert render(parse_pd(render(d))) == render(d)
+    # PD text marks an arc or nothing: no crossingless mark beside crossings
+    marked_u = parse_pd(TREFOIL + "+U").with_basepoint(None)
+    with pytest.raises(StructureError, match="crossingless basepoint"):
+        render(marked_u)
 
 
 def test_kink_diagrams_parse():
@@ -261,6 +271,17 @@ def test_load_corpus_errors(tmp_path):
     assert [n for n, _ in load_corpus(str(bom))] == ["unknot"]
     bom.write_text("unknot,U\ntrefoil," + TREFOIL + "\n", encoding="utf-8-sig")
     assert [n for n, _ in load_corpus(str(bom))] == ["unknot", "trefoil"]
+
+    no_comma = tmp_path / "no_comma.csv"
+    no_comma.write_text("U\n")
+    with pytest.raises(ParseError, match="line 1: expected 'name,pdcode'"):
+        load_corpus(str(no_comma))
+
+    # a StructureError is a ParseError that names the line
+    structure = tmp_path / "structure.csv"
+    structure.write_text("# comment\nx,PD[X(1,1,1,2)]\n")
+    with pytest.raises(ParseError, match="line 2: arcs must appear"):
+        load_corpus(str(structure))
 
     dup = tmp_path / "dup.csv"
     dup.write_text("a,U\na,U\n")

@@ -6,9 +6,10 @@ import naive
 import subspace_oracle
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
 from khss import spectral
-from khss.diagram import parse_pd, reidemeister1, reidemeister2
+from khss.diagram import parse_pd
 from khss.filtered import build
 from khss.spectral import compare_pages, compute, khovanov_oracle
+from moves import reidemeister1, reidemeister2
 
 
 def test_oracle_against_naive_prototype():

@@ -14,9 +14,10 @@ unknot gives the unreduced theory.
 from collections import Counter
 
 from conftest import HOPF, braid_closure, probe_closures
-from khss.diagram import mirror, parse_pd
+from khss.diagram import parse_pd
 from khss.filtered import build
 from khss.spectral import compute
+from moves import mirror
 
 
 def split_faults(unreduced, reduced) -> list[str]:

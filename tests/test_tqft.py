@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from edge_words import unreduced_columns
+from edge_words import grading_shift_surface, unreduced_columns
 from khss import tqft
 from khss.cli import random_word
 from khss.cube import EdgeCobordism
@@ -16,7 +16,6 @@ from khss.tqft import (
     check_triangle,
     compose_columns,
     evaluate_word,
-    grading_shift_surface,
     grading_shift_word,
     hfl_columns,
     letter_coproduct,
