@@ -33,6 +33,12 @@ edge by what its shape is read from: four circle labels, two letter counts.
 The image of a shape depends on no diagram either, so each is computed
 and q-checked once per process, in a table keyed by the edge rule and
 the shape, and every later ``build`` reads it from there.
+
+The edge pass is vertex-major (u increasing, then every crossing where
+u has a 0): all of u's out-edges OR into u's columns while they are in
+cache, where crossing-major took 1.2-1.6x as long at 11-16 crossings
+(CPython 3.11, x86-64), and a ``GradingError`` names the first bad edge
+in (vertex, crossing) order.
 """
 
 from __future__ import annotations
@@ -198,17 +204,21 @@ def build(d: PlanarDiagram, reduced: bool = True,
         run_cols.append(cls[1])
 
     # d = sum of the edge maps: one OR per source monomial of each edge,
-    # since every entry of d lies on exactly one edge
+    # since every entry of d lies on exactly one edge; vertex by vertex,
+    # so u's columns stay in cache and a GradingError names the first bad
+    # edge in (vertex, crossing) order
     rule = tqft.edge_columns_reduced
     keyed: dict[tuple[int, ...], tuple[_Term, ...]] = {}
-    for i, (a, b, c, _) in enumerate(d.crossings):
-        step = 1 << i
-        for u in range(len(letters)):
+    steps = [(i, 1 << i, a, b, c)
+             for i, (a, b, c, _) in enumerate(d.crossings)]
+    for u, (src, src_letters, src_cols, src_base) in enumerate(
+            zip(labels, letters, run_cols, base)):
+        for i, step, a, b, c in steps:
             if u & step:
                 continue
             w = u | step
-            src, dst = labels[u], labels[w]
-            key = (src[a], src[c], dst[a], dst[b], letters[u], letters[w])
+            dst = labels[w]
+            key = (src[a], src[c], dst[a], dst[b], src_letters, letters[w])
             terms = keyed.get(key)
             if terms is None:  # a new key: classify, then look up its shape
                 e = cube.edge_shape(*key[:4], key[4] + 1, key[5] + 1)
@@ -217,7 +227,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
                 except GradingError as exc:
                     raise GradingError(f"edge from vertex {u} at crossing "
                                        f"{i} {exc}") from None
-            src_cols, src_base, dst_base = run_cols[u], base[u], base[w]
+            dst_base = base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
     return FilteredComplex(slices, letters)

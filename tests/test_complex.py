@@ -4,7 +4,7 @@ import pytest
 
 import d_oracle
 import global_layout
-from conftest import FIGURE_EIGHT, TREFOIL, braid_closure
+from conftest import FIGURE_EIGHT, TREFOIL, braid_closure, probe_closures
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, filtered, tqft
@@ -136,21 +136,23 @@ def test_a_second_build_reads_the_shapes_of_the_first(store, monkeypatch):
 
 def test_a_bad_shape_fails_every_build(monkeypatch):
     # a failed shape is not kept: every build meets it again, and names
-    # the first edge of that shape, at vertex 0 and crossing 0
+    # the first edge of that shape in (vertex, crossing) order; the
+    # trefoil's 2-circle merge is first met at vertex 1, crossing 1,
+    # though crossing 0 has it at vertex 2
     real = tqft.edge_columns_reduced
     d = parse_pd(TREFOIL)
-    shape = classify_edge(d, 0, 0)
+    merge2 = cube.EdgeCobordism("merge", 2, (0, 1), (0,))
+    for shape, first in [(classify_edge(d, 0, 0), "vertex 0 at crossing 0"),
+                         (merge2, "vertex 1 at crossing 1")]:
+        def corrupted(e, shape=shape):
+            cols = real(e)
+            return [cols[0] ^ 0b11, *cols[1:]] if e == shape else cols
 
-    def corrupted(e):
-        cols = real(e)
-        return [cols[0] ^ 0b11, *cols[1:]] if e == shape else cols
-
-    monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
-    for _ in range(2):
-        with pytest.raises(GradingError,
-                           match="edge from vertex 0 at crossing 0 "
-                                 "does not preserve q"):
-            build(d)
+        monkeypatch.setattr(tqft, "edge_columns_reduced", corrupted)
+        for _ in range(2):
+            with pytest.raises(GradingError,
+                               match=f"edge from {first} does not preserve q"):
+                build(d)
 
 
 def assert_matches_global_layout(d, reduced):
@@ -168,7 +170,10 @@ def test_blocks_match_global_layout(store):
     cases = [(store.corpus[name], reduced) for name in store.names(6)
              for reduced in (True, False)]
     poked = reidemeister2(parse_pd("U"), None, None)
-    cases += [(poked, True), (poked, False)]
+    # an 8-crossing closure: a vertex has up to 8 out-edges
+    closure = parse_pd(probe_closures()[0])
+    cases += [(d, reduced) for d in (poked, closure)
+              for reduced in (True, False)]
     for d, reduced in cases:
         assert_matches_global_layout(d, reduced)
 

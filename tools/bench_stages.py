@@ -1,0 +1,231 @@
+"""Seconds per pipeline stage and peak RSS on fixed inputs, as JSON.
+
+Each input runs in a fresh child process under an ``RLIMIT_AS`` cap.
+The child parses the diagram, then times, with ``perf_counter``:
+
+- ``walk_s``: ``cube.walk`` of the marked diagram, alone;
+- ``build_s``: ``filtered.build``, which walks the cube again;
+- ``d2_s``: ``filtered.verify_d_squared``;
+- ``compute_s``: ``spectral.compute``.
+
+It reports its ``ru_maxrss``, the generator and nonzero counts, and a
+sha256 of every page's dims, so two checkouts can be compared on the
+same inputs.  Inputs, by group:
+
+- ``corpus``: the bundled knots, reduced and unreduced;
+- ``braid12``: two seeded 12-crossing closures on 3 strands, drawn as
+  the benchmark's ``braid-complex`` draws its class of N = 25,737;
+- ``t37``: (s1 s2)^7, 14 crossings, 117,945 generators;
+- ``l16``: the 16-crossing 4-braid closure L16, 627,618 generators;
+- ``t213``: T(2,13), 797,163 generators.
+
+At 16 crossings ``build`` and the d^2 check dominate: on L16 they take
+about 3.5 and 4 s each, ``compute`` under 1 s (a shared 2-vCPU x86-64
+host, Python 3.11); on the corpus each stage takes milliseconds.
+
+Run from the root of a checkout (stdlib only):
+
+    python3 tools/bench_stages.py --out stages.json
+    python3 tools/bench_stages.py --only corpus --out corpus.json
+    python3 tools/bench_stages.py --baseline ../old --repeat 5 --out x.json
+
+``--baseline DIR`` also times the ``src/`` of another checkout of this
+repository (an older commit, say), alternating the two child by child,
+and records it under each input's ``baseline`` (the host's speed
+drifts, so only runs taken in turn compare well).
+``--repeat N`` runs each input N times, each in its own child, and
+reports the median of each stage.  A child that fails (over the cap,
+say) is recorded with its error, and the other inputs still run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+STAGES = ("walk_s", "build_s", "d2_s", "compute_s")
+GROUPS = ("corpus", "braid12", "t37", "l16", "t213")
+BRAID12_CLASS = (12, 3, 25737, 2)  # (crossings, strands, N, how many)
+L16_WORD = [1, -2, 1, -2, 3, -2, 1, 3, -2, 3, 1, -2, 3, -2, 1, 3]
+SEED = 1  # of the braid12 draw
+LIMIT_MIB = 3000  # RLIMIT_AS of each child: T(2,13) peaks near 2,050 MB
+CHILD_TIMEOUT_S = 600
+
+
+def inputs(groups: set[str]) -> list[dict]:
+    """The inputs of the chosen groups, as PD text with a flavor."""
+    sys.path[:0] = [str(HERE), str(ROOT / "perfbench")]
+    try:
+        from gen_corpus import braid_closure_pd
+        import inputs as bench_inputs
+    finally:
+        del sys.path[:2]
+    out = []
+
+    def closure(group, name, word, strands):
+        out.append({"group": group, "name": name, "reduced": True,
+                    "word": word, "strands": strands,
+                    "pd": braid_closure_pd(word, strands)})
+
+    if "corpus" in groups:
+        csv = ROOT / "src" / "khss" / "data" / "knots.csv"
+        for line in csv.read_text(encoding="utf-8").splitlines():
+            if line.strip() and not line.startswith("#"):
+                name, _, pd = line.strip().partition(",")
+                out += [{"group": "corpus", "name": name, "reduced": r,
+                         "pd": pd} for r in (True, False)]
+    if "braid12" in groups:
+        for case in bench_inputs.braid_cases([BRAID12_CLASS], SEED,
+                                             "braid-complex"):
+            closure("braid12", f"braid12-{case.name}", list(case.word),
+                    case.strands)
+    if "t37" in groups:
+        closure("t37", "(s1s2)^7", [1, 2] * 7, 3)
+    if "l16" in groups:
+        closure("l16", "L16", L16_WORD, 4)
+    if "t213" in groups:
+        closure("t213", "T(2,13)", [1] * 13, 2)
+    return out
+
+
+def child(root: str, pd: str, reduced: bool) -> dict:
+    """Time the stages of one input in this process; see the module
+    docstring."""
+    cap = LIMIT_MIB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    sys.path.insert(0, str(Path(root) / "src"))
+    import khss
+    from khss import cube, filtered, spectral
+    from khss.diagram import parse_pd
+
+    if Path(khss.__file__).resolve().parents[1] != Path(root) / "src":
+        raise RuntimeError(f"imported {khss.__file__}, not {root}/src")
+
+    d = parse_pd(pd)
+    out = {"crossings": len(d.crossings)}
+    t = time.perf_counter()
+    cube.walk(filtered.marked_diagram(d, reduced))
+    out["walk_s"] = time.perf_counter() - t
+    t = time.perf_counter()
+    c = filtered.build(d, reduced=reduced)
+    out["build_s"] = time.perf_counter() - t
+    t = time.perf_counter()
+    out["d2_ok"] = filtered.verify_d_squared(c)
+    out["d2_s"] = time.perf_counter() - t
+    t = time.perf_counter()
+    result = spectral.compute(c)
+    out["compute_s"] = time.perf_counter() - t
+    out["generators"] = c.n_generators
+    out["nnz"] = sum(col.bit_count() for s in c.slices.values()
+                     for col in s.cols)
+    pages = [(p.r, sorted(p.dims.items())) for p in result.pages]
+    out["pages_sha256"] = hashlib.sha256(repr(pages).encode()).hexdigest()
+    out["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return out
+
+
+def run_child(root: Path, case: dict) -> dict:
+    """One fresh child on one input: its stage record, or its error."""
+    spec = json.dumps({"root": str(root), "pd": case["pd"],
+                       "reduced": case["reduced"]})
+    try:
+        proc = subprocess.run([sys.executable, __file__, "--child", spec],
+                              capture_output=True, text=True,
+                              timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {CHILD_TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return {"error": f"exit {proc.returncode}: {tail}"}
+    return json.loads(proc.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    """An input's runs on one checkout, with their medians."""
+    entry: dict = {"runs": runs}
+    good = [r for r in runs if "error" not in r]
+    if good:
+        for k in ("crossings", "generators", "nnz", "pages_sha256", "d2_ok"):
+            values = {r[k] for r in good}
+            entry[k] = values.pop() if len(values) == 1 else sorted(values)
+        entry["median"] = {k: statistics.median(r[k] for r in good)
+                           for k in (*STAGES, "peak_rss_mb")}
+    return entry
+
+
+def host() -> dict:
+    return {"node": platform.node(), "platform": platform.platform(),
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else None}
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--only", default=",".join(GROUPS),
+                   help=f"comma-separated groups of {', '.join(GROUPS)}")
+    p.add_argument("--baseline",
+                   help="another checkout, timed child by child in turn "
+                        "with this one and recorded beside it")
+    p.add_argument("--repeat", type=int, default=1,
+                   help="fresh children per input")
+    args = p.parse_args(argv)
+    groups = set(args.only.split(","))
+    if not groups <= set(GROUPS):
+        p.error(f"unknown group in --only: {args.only}")
+    checkouts = [ROOT]
+    if args.baseline:
+        checkouts.append(Path(args.baseline).resolve())
+    entries = []
+    for case in inputs(groups):
+        runs: list[list[dict]] = [[] for _ in checkouts]
+        for rep in range(max(1, args.repeat)):
+            # alternate which checkout goes first, so drift hits both
+            for j in sorted(range(len(checkouts)), reverse=rep % 2 == 1):
+                runs[j].append(run_child(checkouts[j], case))
+        entry = {k: case[k] for k in ("group", "name", "word", "strands")
+                 if k in case}
+        entry["flavor"] = "reduced" if case["reduced"] else "unreduced"
+        entry.update(summarize(runs[0]))
+        if args.baseline:
+            base = entry["baseline"] = summarize(runs[1])
+            entry["same_pages"] = (entry.get("pages_sha256")
+                                   == base.get("pages_sha256"))
+        entries.append(entry)
+        for label, e in zip(("", "baseline "), (entry, entry.get("baseline"))):
+            if e is None:
+                continue
+            print(f"{label:>9}{entry['name']:>14} {entry['flavor']:>9} "
+                  + " ".join(f"{k}={v:.3f}"
+                             for k, v in e.get("median", {}).items())
+                  + "".join(f" {r['error']}" for r in e["runs"]
+                            if "error" in r),
+                  file=sys.stderr)
+    record = {"script": "tools/bench_stages.py", "host": host(),
+              "python": sys.version, "seeds": {"braid12": SEED},
+              "rlimit_as_mib": LIMIT_MIB, "repeat": args.repeat,
+              "baseline": Path(args.baseline).name if args.baseline else None,
+              "stages": list(STAGES), "inputs": entries}
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n",
+                              encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--child"]:
+        print(json.dumps(child(**json.loads(sys.argv[2]))))
+        sys.exit(0)
+    sys.exit(main())
