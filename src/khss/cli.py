@@ -64,6 +64,11 @@ def diagram_fields(d: PlanarDiagram, name: str = "") -> dict:
     }
 
 
+# the keys run_record writes: cache_load serves no other record
+_RECORD_KEYS = {"diagram", "flavor", "pages", "collapse_page",
+                "total_homology", "meta"}
+
+
 def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
                name: str = "", elapsed: float = 0.0) -> dict:
     pages = {
@@ -122,7 +127,10 @@ def cache_load(directory: Path, d: PlanarDiagram, reduced: bool) -> dict | None:
         body = json.dumps(wrapped["record"], sort_keys=True)
         if hashlib.sha256(body.encode()).hexdigest() != wrapped["checksum"]:
             raise ValueError("checksum mismatch")
-        return wrapped["record"]
+        record = wrapped["record"]
+        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+            raise ValueError("not a run record")
+        return record
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"warning: ignoring corrupt cache entry {path.name}: {exc}",
               file=sys.stderr)

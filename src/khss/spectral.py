@@ -11,17 +11,13 @@ pairing of persistent homology (Edelsbrunner, Letscher and Zomorodian,
 Carlsson, "Computing persistent homology", 2005) every pair has gap 1:
 each page from 2 on is the homology of d, and the sequence collapses at
 page 2.  Its dimension at (h, q) is the slice's size less the ranks of
-d out of the slice and into it.  Each rank comes from one left-to-right
-column reduction of the slice's own column list, whose rows are the
-local indices of the slice (h + 1, q).  Each q's slices go by
-increasing h, with clearing (Chen and Kerber, "Persistent homology
-computation with a twist", 2011): as d^2 = 0, the column at the pivot
-row of a reduced column of the slice (h - 1, q) is a sum of earlier
-columns of the slice (h, q), so it is skipped.  Those pivot rows are
-local indices of the slice (h, q), so they index its columns as they
-stand.  The general pairing, for a differential that may raise h by
-more, is the reference the tests check these pages against
-(``tests/block_view.py``).
+d out of the slice and into it.  The rank out of a slice is the size of
+the basis of its image that ``filtered.images`` reduces, with clearing,
+and that the d^2 check runs on: the reduction (``tqft.reduce_columns``)
+and the clearing are shared.  ``khovanov_oracle`` ranks each slice by
+that reduction without clearing.  The general pairing, for a
+differential that may raise h by more, is the reference the tests
+check these pages against (``tests/block_view.py``).
 
 Theorem: over GF(2) the paper's differential D, given by
 I + D = (1 + d_{n-1}) ... (1 + d_0) with d_i the edge maps in direction
@@ -37,10 +33,10 @@ every d_j; induct on the crossings.  ``filtered.build`` stores d;
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
-from .filtered import FilteredComplex
+from . import tqft
+from .filtered import FilteredComplex, images
 
 
 @dataclass(frozen=True)
@@ -74,79 +70,33 @@ class SpectralResult:
         return self.pages[-1]
 
 
-def _reduce(cols: Sequence[int],
-            clear: Container[int] = ()) -> dict[int, int]:
-    """Reduce the columns left to right on their highest row: pivot row
-    -> reduced column.  The columns indexed in ``clear`` are skipped:
-    the caller knows they reduce to zero."""
-    reduced: dict[int, int] = {}
-    for i, col in enumerate(cols):
-        if i in clear:
-            continue
-        while col:
-            low = col.bit_length() - 1
-            other = reduced.get(low)
-            if other is None:
-                reduced[low] = col
-                break
-            col ^= other
-    return reduced
-
-
-def khovanov_oracle(c: FilteredComplex) -> PageTable:
-    """Page 2 computed directly as homology of d (the direct route for
-    ``compute(c).page(2)``): each slice's columns are ranked by plain
-    elimination on their highest row, with no clearing, and the
-    dimension at (h, q) is the slice's size minus the ranks out of it
-    and into it."""
-    rank: dict[tuple[int, int], int] = {}
-    for hq, s in c.slices.items():
-        pivots: dict[int, int] = {}  # highest row -> reduced column
-        for col in s.cols:
-            while col:
-                top = col.bit_length() - 1
-                other = pivots.get(top)
-                if other is None:
-                    pivots[top] = col
-                    break
-                col ^= other
-        rank[hq] = len(pivots)
-    dims: dict[tuple[int, int], int] = {}
+def _dims(c: FilteredComplex,
+          rank: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The nonzero dimensions of the homology of d: at (h, q), the
+    slice's size less the ranks of d out of it and into it."""
+    dims = {}
     for (h, q), s in c.slices.items():
         dim = len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0)
         if dim:
             dims[h, q] = dim
-    return PageTable(2, dims)
+    return dims
 
 
-def _ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
-    """(h, q) -> rank of d out of that slice.  Each q's slices go by
-    increasing h; copies of a slice's columns are reduced (``s.cols``
-    is left as it is), over the rows of its target slice, skipping the
-    columns at the pivot rows of the slice below."""
-    ranks: dict[tuple[int, int], int] = {}
-    below = {}  # the pivot rows of the slice reduced last
-    for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
-        s, target = c.slices[h, q], c.slices.get((h + 1, q))
-        width = len(target.cols) if target is not None else 0
-        if max(map(int.bit_length, s.cols), default=0) > width:
-            raise ValueError("differential does not raise h")
-        below = _reduce(s.cols, below if (h - 1, q) in ranks else ())
-        ranks[h, q] = len(below)
-    return ranks
+def khovanov_oracle(c: FilteredComplex) -> PageTable:
+    """Page 2 computed directly as homology of d (the direct route for
+    ``compute(c).page(2)``): each slice's columns are ranked by
+    ``tqft.reduce_columns`` with no clearing."""
+    return PageTable(2, _dims(c, {hq: len(tqft.reduce_columns(s.cols))
+                                  for hq, s in c.slices.items()}))
 
 
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment.  The
     differential must square to zero (``cli._pages`` checks it)."""
-    rank = _ranks(c)
-    dims: dict[tuple[int, int], int] = {}
+    dims = _dims(c, {hq: len(basis) for hq, basis, _ in images(c)})
     total: dict[int, int] = {}
-    for (h, q), s in c.slices.items():
-        dim = len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0)
-        if dim:
-            dims[h, q] = dim
-            total[q] = total.get(q, 0) + dim
+    for (_, q), dim in dims.items():
+        total[q] = total.get(q, 0) + dim
     heights = [h for h, _ in c.slices]
     length = max(heights) - min(heights) if heights else 0
     # d has jump 1 alone, so every page from 2 on is page 2

@@ -13,11 +13,13 @@ beside an untouched marked circle.
 Monomial encoding: basis monomials of V^(tensor m) are integers whose
 bit j records the letter on circle j (0 = v+/T, 1 = v-/B).  A linear
 map is a list of column masks: entry b is the XOR-set of target basis
-indices hit by source basis monomial b.
+indices hit by source basis monomial b; ``compose_columns`` and
+``reduce_columns`` are the package's GF(2) operations on such lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,7 +87,7 @@ def edge_columns_unreduced(e: EdgeCobordism) -> list[int]:
         tuple(j + 1 for j in e.targets)))
 
 
-def compose_columns(first: list[int], second: list[int]) -> list[int]:
+def compose_columns(first: Iterable[int], second: list[int]) -> list[int]:
     """Columns of (second after first)."""
     out = []
     for mask in first:
@@ -96,6 +98,25 @@ def compose_columns(first: list[int], second: list[int]) -> list[int]:
             mask ^= 1 << top
         out.append(acc)
     return out
+
+
+def reduce_columns(cols: Sequence[int],
+                   clear: Container[int] = ()) -> dict[int, int]:
+    """Reduce the columns left to right on their highest row: pivot row
+    -> reduced column.  The columns indexed in ``clear`` are skipped:
+    the caller knows they reduce to zero."""
+    reduced: dict[int, int] = {}
+    for i, col in enumerate(cols):
+        if i in clear:
+            continue
+        while col:
+            low = col.bit_length() - 1
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = col
+                break
+            col ^= other
+    return reduced
 
 
 # ---------------------------------------------------------------------------

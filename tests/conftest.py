@@ -33,15 +33,21 @@ def braid_closure(word: list[int], strands: int):
     return parse_pd(braid_closure_pd(word, strands))
 
 
-def probe_closures() -> list[str]:
-    """PD texts of the closures of the benchmark's probe workload, seed 1."""
+def bench_closures(workload: str) -> list[str]:
+    """PD texts of the closures of the benchmark's ``probe`` or
+    ``braid-complex`` workload, seed 1."""
     sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "perfbench")]
     try:
         import inputs
     finally:
         del sys.path[:2]
-    return [case.pd for case in inputs.braid_cases(inputs.PROBE_MIX, 1,
-                                                   "probe")]
+    mix = {"probe": inputs.PROBE_MIX,
+           "braid-complex": inputs.BRAID_COMPLEX_MIX}[workload]
+    return [case.pd for case in inputs.braid_cases(mix, 1, workload)]
+
+
+def probe_closures() -> list[str]:
+    return bench_closures("probe")
 
 
 class Store:

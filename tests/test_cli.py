@@ -673,6 +673,42 @@ def test_cache_corrupt_entry_is_miss(tmp_path, capsys):
     assert "cache" in err
 
 
+def write_entry(entry, record):
+    """Overwrite a cache entry with ``record`` under a matching checksum."""
+    body = json.dumps(record, sort_keys=True)
+    entry.write_text(json.dumps({
+        "checksum": hashlib.sha256(body.encode()).hexdigest(),
+        "record": record}))
+
+
+def without_meta(record):
+    return {k: v for k, v in record.items() if k != "meta"}
+
+
+def test_a_checksummed_entry_that_is_not_a_run_record_is_a_miss(
+        tmp_path, capsys, mixed_corpus):
+    # its checksum matches, but it is not what run_record writes: warned
+    # about, recomputed and overwritten
+    cache = tmp_path / "cache"
+    argv = ("compute", "--pd", TREFOIL, "--cache", str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    for record in (5, [], {"flavor": "reduced"}):
+        write_entry(entry, record)
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert without_meta(json.loads(out)) == without_meta(json.loads(fresh))
+        assert "warning: ignoring corrupt cache entry" in err
+        stored = json.loads(entry.read_text())["record"]
+        assert without_meta(stored) == without_meta(json.loads(fresh))
+    argv = ("probe", str(mixed_corpus), "--cache", str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    write_entry(entry, {"flavor": "reduced"})  # the trefoil's entry
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == fresh
+    assert err.count("warning: ignoring corrupt cache entry") == 1
+
+
 def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     _, fresh, _ = run(capsys, "compute", "--pd", TREFOIL, "--cache",

@@ -1,18 +1,22 @@
 import dataclasses
+import random
 
 import pytest
 
 import d_oracle
 import global_layout
-from conftest import FIGURE_EIGHT, TREFOIL, braid_closure, probe_closures
+from conftest import (FIGURE_EIGHT, TREFOIL, bench_closures, braid_closure,
+                      probe_closures)
+from d_squared import squares_to_zero
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
 from khss import cube, filtered, tqft
 from khss.cube import classify_edge, resolve
 from khss.diagram import from_crossings, parse_pd
-from khss.filtered import (GradingError, SizeCapError, build, marked_diagram,
-                           verify_d_squared)
+from khss.filtered import (FilteredComplex, GradingError, SizeCapError,
+                           Slice, build, marked_diagram, verify_d_squared)
 from moves import reidemeister2
+from test_planted import apply
 
 
 def dims_by_h(c):
@@ -231,23 +235,132 @@ def test_edge_words_match_edge_maps(store):
                         == tqft.edge_columns_reduced(classify_edge(d, u, i)))
 
 
-def test_bit_flip_breaks_d_squared():
-    # negative control: corrupting one entry must be detected; target a
-    # row whose own outgoing column is nonzero so the square cannot stay 0
-    c = build(parse_pd(TREFOIL), reduced=True)
+def flip_a_live_row(c):
+    """Flip, in column 0 of some slice (h, q), the bit at a row whose
+    own column in (h + 1, q) is nonzero, so the square cannot stay 0."""
     s, r = next((s, r) for (h, q), s in c.slices.items()
                 if (h + 1, q) in c.slices
                 for r, col in enumerate(c.slices[h + 1, q].cols) if col)
     s.cols[0] ^= 1 << r
-    assert not verify_d_squared(c)
+    return c
 
 
-def test_a_column_past_its_target_slice_is_caught():
-    c = build(parse_pd(TREFOIL), reduced=True)
+def widen_a_column(c):
+    """Set, in column 0 of some slice, the row just past its target."""
     s, t = next((s, c.slices[h + 1, q]) for (h, q), s in c.slices.items()
                 if (h + 1, q) in c.slices)
     s.cols[0] |= 1 << len(t.cols)
-    assert not verify_d_squared(c)
+    return c
+
+
+def flip_a_cleared_column(c):
+    """Flip row 0 of the first column, in (q, h) order, that the clearing
+    skips: a column of (h, q) at a pivot row of a reduced column of
+    (h - 1, q), with a slice (h + 1, q) to map into.  None if there is
+    no such column.  Only the d b = 0 check at (h - 1, q) can see it."""
+    for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
+        below, target = c.slices.get((h - 1, q)), c.slices.get((h + 1, q))
+        if below is None or target is None or not target.cols:
+            continue
+        pivots = tqft.reduce_columns(below.cols)
+        if pivots:
+            c.slices[h, q].cols[min(pivots)] ^= 1
+            return c
+    return None
+
+
+def build_with_a_bad_shape(d, reduced, monkeypatch):
+    """``d`` built with the entry monomial 0 -> monomial 0 dropped from
+    the edges shaped like the one at vertex 0, crossing 0: q is kept,
+    the squares at those edges stop commuting."""
+    real = tqft.edge_columns_reduced
+    shape = classify_edge(marked_diagram(d, reduced), 0, 0)
+
+    def corrupted(e):
+        cols = real(e)
+        return [cols[0] ^ 1, *cols[1:]] if e == shape else cols
+
+    with monkeypatch.context() as m:
+        m.setattr(tqft, "edge_columns_reduced", corrupted)
+        return build(d, reduced)
+
+
+def planted_complex(rng):
+    """A complex with d^2 = 0 by construction, over q = 0, 2, 4 and h =
+    0..4: in a planted basis each generator maps to at most one of the
+    slice above, none is hit twice, and none is both hit and mapping;
+    each slice's basis is then changed by a random unitriangular matrix
+    P (column i: e_i plus lower indices), so d = P d0 P^-1."""
+    slices = {}
+    for q in (0, 2, 4):
+        sizes = [rng.randint(0, 6) for _ in range(5)] + [0]
+        bases = [[(1 << i) | rng.getrandbits(i) for i in range(n)]
+                 for n in sizes]
+        hit = set()
+        for h, n in enumerate(sizes[:-1]):
+            free = rng.sample(range(sizes[h + 1]), sizes[h + 1])
+            planted = [1 << free.pop() if j not in hit and free
+                       and rng.random() < 0.7 else 0 for j in range(n)]
+            hit = {col.bit_length() - 1 for col in planted if col}
+            inverse = []  # P^-1 e_i = e_i + P^-1 (P e_i - e_i)
+            for i, col in enumerate(bases[h]):
+                inverse.append((1 << i) ^ apply(inverse, col ^ (1 << i)))
+            cols = [apply(bases[h + 1], apply(planted, v)) for v in inverse]
+            slices[h, q] = Slice(h, q, [], cols)
+    return FilteredComplex(slices, [])
+
+
+def d_squared_inputs(family, store, monkeypatch):
+    """(complex, whether d^2 = 0, None if not known) for every complex
+    of one family."""
+    if family == "corpus":
+        return [(store.complex(name, reduced), True)
+                for name in store.names() for reduced in (True, False)]
+    if family in ("probe", "braid-complex"):
+        return [(build(parse_pd(pd)), True) for pd in bench_closures(family)]
+    if family == "planted":
+        rng, out = random.Random(1), []
+        for k in range(60):
+            c = planted_complex(rng)
+            if k % 2:  # flip one entry: d^2 may or may not stay 0
+                s, t = rng.choice([(s, t) for (h, q), s in c.slices.items()
+                                   if (t := c.slices.get((h + 1, q)))
+                                   and s.cols and t.cols])
+                s.cols[rng.randrange(len(s.cols))] ^= (
+                    1 << rng.randrange(len(t.cols)))
+            out.append((c, None if k % 2 else True))
+        return out
+    diagrams = [parse_pd(TREFOIL), parse_pd(FIGURE_EIGHT)]
+    if family == "bad-shape":
+        return [(build_with_a_bad_shape(d, reduced, monkeypatch), False)
+                for d in diagrams for reduced in (True, False)]
+    mutate = {"live-row": flip_a_live_row, "wide-column": widen_a_column,
+              "cleared-column": flip_a_cleared_column}[family]
+    if family == "cleared-column":
+        diagrams += list(store.corpus.values())
+    out = [mutate(build(d, reduced))
+           for d in diagrams for reduced in (True, False)]
+    return [(c, False) for c in out if c is not None]
+
+
+@pytest.mark.parametrize("family", [
+    "corpus", "probe", "braid-complex", "planted", "live-row",
+    "wide-column", "bad-shape", "cleared-column"])
+def test_d_squared_agrees_with_the_composite_reference(family, store,
+                                                        monkeypatch):
+    # the families after "planted" are mutation controls;
+    # "cleared-column" corrupts only columns the clearing skips
+    inputs = d_squared_inputs(family, store, monkeypatch)
+    assert inputs
+    for c, zero in inputs:
+        assert squares_to_zero(c) == zero or zero is None
+        assert verify_d_squared(c) == squares_to_zero(c)
+    if family == "planted":
+        assert {squares_to_zero(c) for c, _ in inputs} == {True, False}
+
+
+def test_a_column_past_its_target_slice_is_caught():
+    c = widen_a_column(build(parse_pd(TREFOIL), reduced=True))
     assert global_layout.slice_faults(c) != []
 
 

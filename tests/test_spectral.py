@@ -5,7 +5,7 @@ import block_view
 import naive
 import subspace_oracle
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
-from khss import spectral
+from khss import tqft
 from khss.diagram import parse_pd
 from khss.filtered import build
 from khss.spectral import compare_pages, compute, khovanov_oracle
@@ -157,15 +157,15 @@ def plain_elimination(cols):
 
 
 def reduced_slices(c, monkeypatch):
-    """The (cols, clear) of each ``_reduce`` call ``compute`` makes on
-    ``c``, and ``c``'s slices in the order it reduces them."""
-    real, calls = spectral._reduce, []
+    """The (cols, clear) of each ``tqft.reduce_columns`` call ``compute``
+    makes on ``c``, and ``c``'s slices in the order it reduces them."""
+    real, calls = tqft.reduce_columns, []
 
     def recorded(cols, clear=()):
         calls.append((cols, set(clear)))
         return real(cols, clear)
 
-    monkeypatch.setattr(spectral, "_reduce", recorded)
+    monkeypatch.setattr(tqft, "reduce_columns", recorded)
     compute(c)
     monkeypatch.undo()
     order = sorted(c.slices, key=lambda hq: (hq[1], hq[0]))

@@ -19,9 +19,10 @@ same inputs.  Inputs, by group:
 - ``l16``: the 16-crossing 4-braid closure L16, 627,618 generators;
 - ``t213``: T(2,13), 797,163 generators.
 
-At 16 crossings ``build`` and the d^2 check dominate: on L16 they take
-about 3.5 and 4 s each, ``compute`` under 1 s (a shared 2-vCPU x86-64
-host, Python 3.11); on the corpus each stage takes milliseconds.
+At 16 crossings ``build`` and the d^2 check dominate: on L16 each takes
+about 3.7 s and ``compute`` under 1 s, on T(2,13) about 3.3 and 4.6 s
+(``BENCH_26.json``: medians of 5 on a shared 2-vCPU x86-64 host, Python
+3.11); on the corpus each stage takes milliseconds.
 
 Run from the root of a checkout (stdlib only):
 
