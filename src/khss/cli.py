@@ -32,7 +32,8 @@ from .diagram import (
 )
 from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
                        build, verify_d_squared)
-from .spectral import SpectralResult, Verdict, compare_pages, compute
+from .spectral import (PageTable, SpectralResult, Verdict, compare_pages,
+                       compute)
 from .tqft import (GENERATOR_ARITY, Generator, GeneratorWord, check_triangle,
                    grading_shift_word)
 
@@ -51,32 +52,18 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- run records
 
-def diagram_fields(d: PlanarDiagram, name: str = "") -> dict:
-    """The ``diagram`` part of a run record."""
-    pd = render(d)
-    return {
-        "name": name,
-        "pd": pd,
-        "crossings": len(d.crossings),
-        "writhe": d.writhe,
-        "basepoint": d.basepoint,
-        "hash": hashlib.sha256(pd.encode()).hexdigest()[:16],
-    }
-
-
-# the keys run_record writes: cache_load serves no other record
-_RECORD_KEYS = {"diagram", "flavor", "pages", "collapse_page",
-                "total_homology", "meta"}
-
-
 def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
                name: str = "", elapsed: float = 0.0) -> dict:
+    """What ``kh`` prints and caches: the one writer of that format."""
+    pd = render(d)
     pages = {
         str(pt.r): {f"{p},{q}": dim for (p, q), dim in sorted(pt.dims.items())}
         for pt in result.pages
     }
     return {
-        "diagram": diagram_fields(d, name),
+        "diagram": {"name": name, "pd": pd, "crossings": len(d.crossings),
+                    "writhe": d.writhe, "basepoint": d.basepoint,
+                    "hash": hashlib.sha256(pd.encode()).hexdigest()[:16]},
         "flavor": "reduced" if reduced else "unreduced",
         "pages": pages,
         "collapse_page": result.collapse_page,
@@ -118,20 +105,35 @@ def cache_store(record: dict, directory: Path, d: PlanarDiagram,
     return path
 
 
-def cache_load(directory: Path, d: PlanarDiagram, reduced: bool) -> dict | None:
+def cache_load(directory: Path, d: PlanarDiagram, reduced: bool,
+               name: str = "") -> dict | None:
+    """The record of ``d`` named ``name``, rebuilt by ``run_record`` from
+    its entry's pages; None on a miss.  An entry that ``run_record``
+    would not write, its ``diagram`` aside, is a miss with a warning."""
     path = directory / f"{cache_key(d, reduced)}.json"
     if not path.exists():
         return None
     try:
         wrapped = json.loads(path.read_text())
-        body = json.dumps(wrapped["record"], sort_keys=True)
+        stored = wrapped["record"]
+        body = json.dumps(stored, sort_keys=True)
         if hashlib.sha256(body.encode()).hexdigest() != wrapped["checksum"]:
             raise ValueError("checksum mismatch")
-        record = wrapped["record"]
-        if not isinstance(record, dict) or record.keys() != _RECORD_KEYS:
+        result = SpectralResult(tuple(
+            PageTable(int(r), {(int(p), int(q)): int(dim)
+                               for pq, dim in table.items()
+                               for p, q in [pq.split(",")]})
+            for r, table in stored["pages"].items()),
+            int(stored["collapse_page"]),
+            {int(q): int(dim) for q, dim in stored["total_homology"].items()})
+        record = run_record(d, reduced, result, name,
+                            float(stored["meta"]["seconds"]))
+        if json.dumps({**record, "diagram": stored["diagram"]},
+                      sort_keys=True) != body:
             raise ValueError("not a run record")
         return record
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError) as exc:
         print(f"warning: ignoring corrupt cache entry {path.name}: {exc}",
               file=sys.stderr)
         return None
@@ -273,11 +275,8 @@ def _records(items: list[tuple[str, PlanarDiagram]], args,
     written to the cache here in item order, up to the first item that
     failed, whose error is raised."""
     cdir = _cache_dir(args)
-    records = [None if cdir is None else cache_load(cdir, d, args.reduced)
-               for _, d in items]
-    for (name, d), record in zip(items, records):
-        if record is not None:  # an entry may be shared across basepoints
-            record["diagram"] = diagram_fields(d, name)
+    records = [cache_load(cdir, d, args.reduced, name) if cdir else None
+               for name, d in items]
     misses = [i for i, record in enumerate(records) if record is None]
     work = functools.partial(_record, reduced=args.reduced,
                              max_generators=args.max_generators)

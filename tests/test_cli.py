@@ -693,7 +693,12 @@ def test_a_checksummed_entry_that_is_not_a_run_record_is_a_miss(
     argv = ("compute", "--pd", TREFOIL, "--cache", str(cache))
     _, fresh, _ = run(capsys, *argv)
     entry = next(cache.glob("*.json"))
-    for record in (5, [], {"flavor": "reduced"}):
+    full = json.loads(entry.read_text())["record"]
+    string_dim, bad_key = (json.loads(json.dumps(full)) for _ in range(2))
+    string_dim["pages"]["2"]["0,-2"] = str(full["pages"]["2"]["0,-2"])
+    bad_key["pages"]["2"]["0,-2,0"] = bad_key["pages"]["2"].pop("0,-2")
+    for record in (5, [], {"flavor": "reduced"}, {**full, "pages": 5},
+                   string_dim, bad_key, {**full, "extra": 0}):
         write_entry(entry, record)
         code, out, err = run(capsys, *argv)
         assert code == 0
@@ -701,6 +706,11 @@ def test_a_checksummed_entry_that_is_not_a_run_record_is_a_miss(
         assert "warning: ignoring corrupt cache entry" in err
         stored = json.loads(entry.read_text())["record"]
         assert without_meta(stored) == without_meta(json.loads(fresh))
+    _, fresh_csv, _ = run(capsys, "compute", "--pd", TREFOIL, "--output", "csv")
+    write_entry(entry, {**full, "pages": 5})
+    code, out, err = run(capsys, *argv, "--output", "csv")
+    assert code == 0 and out == fresh_csv
+    assert err.count("warning: ignoring corrupt cache entry") == 1
     argv = ("probe", str(mixed_corpus), "--cache", str(cache))
     _, fresh, _ = run(capsys, *argv)
     write_entry(entry, {"flavor": "reduced"})  # the trefoil's entry

@@ -35,8 +35,14 @@ repository (an older commit, say), alternating the two child by child,
 and records it under each input's ``baseline`` (the host's speed
 drifts, so only runs taken in turn compare well).
 ``--repeat N`` runs each input N times, each in its own child, and
-reports the median of each stage.  A child that fails (over the cap,
-say) is recorded with its error, and the other inputs still run.
+reports the median of each stage with its lower and upper quartiles
+(``quartiles``, inclusive method).  With ``--baseline``, the children
+of one repeat form a pair: ``pair_ratios`` holds each pair's ratio of
+this checkout's value to the baseline's, per stage and for the peak
+RSS, and ``ratio_median`` their median.  A stage difference whose
+ratios straddle 1, or that is smaller than either side's quartile
+spread, is unresolved.  A child that fails (over the cap, say) is
+recorded with its error, and the other inputs still run.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ L16_WORD = [1, -2, 1, -2, 3, -2, 1, 3, -2, 3, 1, -2, 3, -2, 1, 3]
 SEED = 1  # of the braid12 draw
 LIMIT_MIB = 3000  # RLIMIT_AS of each child: T(2,13) peaks near 2,050 MB
 CHILD_TIMEOUT_S = 600
+MEASURES = (*STAGES, "peak_rss_mb")
 
 
 def inputs(groups: set[str]) -> list[dict]:
@@ -153,8 +160,17 @@ def run_child(root: Path, case: dict) -> dict:
     return json.loads(proc.stdout)
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The lower and upper quartiles of ``values``; one value is both."""
+    if len(values) < 2:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summarize(runs: list[dict]) -> dict:
-    """An input's runs on one checkout, with their medians."""
+    """An input's runs on one checkout, with their medians and
+    quartiles."""
     entry: dict = {"runs": runs}
     good = [r for r in runs if "error" not in r]
     if good:
@@ -162,7 +178,9 @@ def summarize(runs: list[dict]) -> dict:
             values = {r[k] for r in good}
             entry[k] = values.pop() if len(values) == 1 else sorted(values)
         entry["median"] = {k: statistics.median(r[k] for r in good)
-                           for k in (*STAGES, "peak_rss_mb")}
+                           for k in MEASURES}
+        entry["quartiles"] = {k: quartiles([r[k] for r in good])
+                              for k in MEASURES}
     return entry
 
 
@@ -205,15 +223,27 @@ def main(argv: list[str] | None = None) -> int:
             base = entry["baseline"] = summarize(runs[1])
             entry["same_pages"] = (entry.get("pages_sha256")
                                    == base.get("pages_sha256"))
+            pairs = [(a, b) for a, b in zip(*runs)
+                     if "error" not in a and "error" not in b]
+            ratios = entry["pair_ratios"] = {
+                k: [a[k] / b[k] for a, b in pairs if b[k]] for k in MEASURES}
+            entry["ratio_median"] = {k: statistics.median(v)
+                                     for k, v in ratios.items() if v}
         entries.append(entry)
         for label, e in zip(("", "baseline "), (entry, entry.get("baseline"))):
             if e is None:
                 continue
             print(f"{label:>9}{entry['name']:>14} {entry['flavor']:>9} "
-                  + " ".join(f"{k}={v:.3f}"
+                  + " ".join("{}={:.3f} [{:.3f}, {:.3f}]".format(
+                                 k, v, *e["quartiles"][k])
                              for k, v in e.get("median", {}).items())
                   + "".join(f" {r['error']}" for r in e["runs"]
                             if "error" in r),
+                  file=sys.stderr)
+        if entry.get("ratio_median"):
+            print(f"{'ratio':>9}{entry['name']:>14} {entry['flavor']:>9} "
+                  + " ".join(f"{k}={v:.3f}"
+                             for k, v in entry["ratio_median"].items()),
                   file=sys.stderr)
     record = {"script": "tools/bench_stages.py", "host": host(),
               "python": sys.version, "seeds": {"braid12": SEED},

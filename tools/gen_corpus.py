@@ -1,8 +1,8 @@
 """Offline generator for the bundled knot corpus.
 
 Builds PD codes as braid closures, sanity-checks each entry through the
-library (single component, expected crossing number, alternating flag,
-reduced homology total dimension = determinant), and writes
+library (single component, d^2 = 0 on its reduced complex, reduced
+homology total dimension = determinant, alternating flag), and writes
 src/khss/data/knots.csv.  Run from the repository root:
 
     PYTHONPATH=src python tools/gen_corpus.py
@@ -15,7 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from khss import build, compute, is_alternating, parse_pd, render  # noqa: E402
+from khss import (build, compute, is_alternating, parse_pd,  # noqa: E402
+                  render, verify_d_squared)
 from khss.diagram import from_crossings  # noqa: E402
 
 
@@ -72,7 +73,9 @@ def braid_closure_pd(word: list[int], strands: int) -> str:
 def check(name: str, pd_text: str, reduced_dim: int, alternating: bool) -> None:
     d = parse_pd(pd_text)
     assert len(d.components) == 1, f"{name}: not a knot"
-    total = sum(compute(build(d, reduced=True)).total_homology.values())
+    c = build(d, reduced=True)
+    assert verify_d_squared(c), f"{name}: d^2 != 0"
+    total = sum(compute(c).total_homology.values())
     assert total == reduced_dim, f"{name}: homology dim {total} != {reduced_dim}"
     assert is_alternating(d) == alternating, f"{name}: alternating flag"
 
