@@ -19,7 +19,8 @@ generator j, bit i its coefficient on local generator i of the slice
 keyed (h + 1, q).  A column is then only as wide as its target slice.
 The map keeps no order.  ``images`` walks it and reduces each slice to
 a basis of its image: ``verify_d_squared`` checks d^2 = 0 on those
-bases, and ``spectral`` reads its ranks from them.
+bases, and on success leaves their sizes on the complex with a copy of
+the columns; ``ranks`` serves them while the columns equal that copy.
 
 A slice lists its generators as runs ``(u, k)``, by increasing vertex:
 the monomials of vertex u with k letters x, in increasing order.
@@ -46,7 +47,7 @@ in (vertex, crossing) order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, NamedTuple
 
 from . import cube, tqft
@@ -84,6 +85,9 @@ class FilteredComplex:
 
     slices: dict[tuple[int, int], Slice]
     letters: list[int]
+    # ({hq: cols}, {hq: rank}) of the last verify_d_squared, if it passed
+    checked: tuple[dict, dict] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def generators(self) -> list[KhGenerator]:
@@ -259,9 +263,25 @@ def verify_d_squared(c: FilteredComplex) -> bool:
     slice lies inside its target, and d vanishes on each basis that
     ``images`` gives.  The basis at (h, q) spans the image once d b = 0
     is checked at (h - 1, q), which comes first: by induction on h, each
-    clearing is sound and d is zero on the whole image of d."""
+    clearing is sound and d is zero on the whole image of d.  It always
+    checks in full, and sets ``c.checked`` on True alone."""
+    c.checked, rank = None, {}
     try:
-        return not any(any(tqft.compose_columns(basis.values(), cols))
-                       for _, basis, cols in images(c))
+        for hq, basis, cols in images(c):
+            if any(tqft.compose_columns(basis.values(), cols)):
+                return False
+            rank[hq] = len(basis)
     except ValueError:
         return False
+    c.checked = ({hq: s.cols.copy() for hq, s in c.slices.items()}, rank)
+    return True
+
+
+def ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
+    """The rank of d out of each slice: the ones in ``c.checked`` if
+    every slice key and column equals what ``verify_d_squared`` passed
+    (the ranks depend on nothing else), else from a walk of ``images``."""
+    cols, rank = c.checked or (None, None)
+    if cols != {hq: s.cols for hq, s in c.slices.items()}:
+        rank = {hq: len(basis) for hq, basis, _ in images(c)}
+    return rank

@@ -13,11 +13,11 @@ each page from 2 on is the homology of d, and the sequence collapses at
 page 2.  Its dimension at (h, q) is the slice's size less the ranks of
 d out of the slice and into it.  The rank out of a slice is the size of
 the basis of its image that ``filtered.images`` reduces, with clearing,
-and that the d^2 check runs on: the reduction (``tqft.reduce_columns``)
-and the clearing are shared.  ``khovanov_oracle`` ranks each slice by
-that reduction without clearing.  The general pairing, for a
-differential that may raise h by more, is the reference the tests
-check these pages against (``tests/block_view.py``).
+and that the d^2 check runs on: ``compute`` reuses the ranks a passed
+check left unless the complex changed since.  ``khovanov_oracle`` ranks
+each slice by the same ``tqft.reduce_columns``, without clearing.  The
+general pairing, for a differential that may raise h by more, is the
+reference the tests check these pages against (``tests/block_view.py``).
 
 Theorem: over GF(2) the paper's differential D, given by
 I + D = (1 + d_{n-1}) ... (1 + d_0) with d_i the edge maps in direction
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tqft
-from .filtered import FilteredComplex, images
+from .filtered import FilteredComplex, ranks
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,10 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment.  The
-    differential must square to zero (``cli._pages`` checks it)."""
-    dims = _dims(c, {hq: len(basis) for hq, basis, _ in images(c)})
+    differential must square to zero (``cli._pages`` checks it).  The
+    ranks of d are ``filtered.ranks``: a passed check's, unless the
+    complex changed since."""
+    dims = _dims(c, ranks(c))
     total: dict[int, int] = {}
     for (_, q), dim in dims.items():
         total[q] = total.get(q, 0) + dim

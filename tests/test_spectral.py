@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,10 @@ import subspace_oracle
 from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
 from khss import tqft
 from khss.diagram import parse_pd
-from khss.filtered import build
+from khss.filtered import Slice, build, verify_d_squared
 from khss.spectral import compare_pages, compute, khovanov_oracle
 from moves import reidemeister1, reidemeister2
+from test_complex import flip_a_cleared_column
 
 
 def test_oracle_against_naive_prototype():
@@ -181,11 +184,15 @@ def cleared_columns(c, monkeypatch):
 
 
 def test_each_slice_is_reduced_in_its_stored_column_list(store, monkeypatch):
+    # a fresh complex: compute reduces nothing on one verify_d_squared
+    # has passed, as the store's may have been
     for reduced in (True, False):
-        calls, order = reduced_slices(store.complex("4_1", reduced),
-                                      monkeypatch)
+        c = build(store.corpus["4_1"], reduced)
+        calls, order = reduced_slices(c, monkeypatch)
         assert len(calls) == len(order)
         assert all(cols is s.cols for (cols, _), s in zip(calls, order))
+        assert verify_d_squared(c)
+        assert reduced_slices(c, monkeypatch)[0] == []
 
 
 def test_compute_leaves_the_stored_columns_as_they_are(store):
@@ -201,7 +208,7 @@ def test_compute_leaves_the_stored_columns_as_they_are(store):
 
 
 def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
-    complexes = [store.complex(name, reduced) for name in store.names()
+    complexes = [build(d, reduced) for d in store.corpus.values()
                  for reduced in (True, False)]
     complexes += [build(parse_pd(pd)) for pd in probe_closures()]
     total = 0
@@ -225,6 +232,92 @@ def test_a_cleared_column_past_its_target_slice_is_caught(monkeypatch):
     s.cols[min(skipped)] |= 1 << width
     with pytest.raises(ValueError, match="differential does not raise h"):
         compute(c)
+
+
+def stale_rank_inputs(store):
+    """(diagram, flavor) of the corpus and the trefoil and figure-eight,
+    as the cleared-column family of the d^2 tests in test_complex."""
+    diagrams = [parse_pd(TREFOIL), parse_pd(FIGURE_EIGHT),
+                *store.corpus.values()]
+    return [(d, reduced) for d in diagrams for reduced in (True, False)]
+
+
+def raise_a_rank(c):
+    """Add e_r to a column of some (h, q) that lies in the span of the
+    columns before it and that the clearing keeps, with r a row of
+    (h + 1, q) that is no pivot of the slice and with d e_r nonzero:
+    e_r is outside the image, so the rank of d out of (h, q) rises by
+    1, with clearing or without, and d^2 stops being 0.  None if no
+    slice has both."""
+    for h, q in sorted(c.slices):
+        s, target = c.slices[h, q], c.slices.get((h + 1, q))
+        below = c.slices.get((h - 1, q))
+        pivots, zero = plain_elimination(s.cols)
+        kept = zero - plain_elimination(below.cols if below else [])[0]
+        rows = [r for r, col in enumerate(target.cols if target else ())
+                if col and r not in pivots]
+        if kept and rows:
+            s.cols[min(kept)] ^= 1 << rows[0]
+            return c
+    return None
+
+
+def test_a_bit_flipped_after_the_check_is_never_served_stale_ranks(
+        store, monkeypatch):
+    raised = 0
+    for (d, reduced), flip in itertools.product(
+            stale_rank_inputs(store),
+            (raise_a_rank, flip_a_cleared_column)):
+        c, twin = build(d, reduced), build(d, reduced)
+        assert verify_d_squared(c)
+        before = full_result(compute(c))
+        passed = {hq: list(s.cols) for hq, s in c.slices.items()}
+        if flip(c) is None:
+            continue
+        flip(twin)  # the same bit: both complexes hold the same columns
+        after = full_result(compute(twin))
+        assert full_result(compute(c)) == after
+        if flip is raise_a_rank:  # the checked ranks would give before
+            assert after != before
+            raised += 1
+        assert not verify_d_squared(c)
+        # back to the columns that passed: the failed check left no ranks
+        for hq, s in c.slices.items():
+            s.cols[:] = passed[hq]
+        assert len(reduced_slices(c, monkeypatch)[0]) == len(c.slices)
+    assert raised
+
+
+def add_a_slice(c):
+    """A slice of one generator with d = 0 below the lowest of some q."""
+    h, q = min(c.slices)
+    c.slices[h - 1, q] = Slice(h - 1, q, [], [0])
+
+
+def remove_a_slice(c):
+    """Drop the lowest slice of the first q (in (h, q) order) whose
+    lowest slice has d nonzero, if any: the rank into the slice above
+    drops."""
+    for h, q in sorted(c.slices):
+        if (h - 1, q) not in c.slices and any(c.slices[h, q].cols):
+            del c.slices[h, q]
+            return
+
+
+@pytest.mark.parametrize("change", [add_a_slice, remove_a_slice])
+def test_a_slice_added_or_removed_after_the_check_drops_its_ranks(change,
+                                                                   store):
+    changed = 0
+    for d, reduced in stale_rank_inputs(store):
+        c, twin = build(d, reduced), build(d, reduced)
+        assert verify_d_squared(c)
+        before = full_result(compute(c))
+        change(c)
+        change(twin)
+        after = full_result(compute(twin))
+        assert full_result(compute(c)) == after
+        changed += after != before
+    assert changed
 
 
 def test_r1_invariance():

@@ -6,7 +6,9 @@ The child parses the diagram, then times, with ``perf_counter``:
 - ``walk_s``: ``cube.walk`` of the marked diagram, alone;
 - ``build_s``: ``filtered.build``, which walks the cube again;
 - ``d2_s``: ``filtered.verify_d_squared``;
-- ``compute_s``: ``spectral.compute``.
+- ``compute_s``: ``spectral.compute``, right after the check on the
+  same complex, so it reads the ranks the check left: it times the
+  pages from the checked ranks, not a reduction of the slices.
 
 It reports its ``ru_maxrss``, the generator and nonzero counts, and a
 sha256 of every page's dims, so two checkouts can be compared on the
@@ -19,10 +21,12 @@ same inputs.  Inputs, by group:
 - ``l16``: the 16-crossing 4-braid closure L16, 627,618 generators;
 - ``t213``: T(2,13), 797,163 generators.
 
-At 16 crossings ``build`` and the d^2 check dominate: on L16 each takes
-about 3.7 s and ``compute`` under 1 s, on T(2,13) about 3.3 and 4.6 s
-(``BENCH_26.json``: medians of 5 on a shared 2-vCPU x86-64 host, Python
-3.11); on the corpus each stage takes milliseconds.
+At 16 crossings ``build`` and the d^2 check are all the time: on L16
+they take about 4.3 and 3.5 s and ``compute`` 2 ms, on T(2,13) about
+3.7 and 4.7 s and ``compute`` 2 ms (``BENCH_28.json``: medians of 5 on
+a shared 2-vCPU x86-64 host, Python 3.11; its baseline, a checkout
+whose ``compute`` reduced every slice again, took 0.58 and 0.78 s
+there); on the corpus each stage takes milliseconds.
 
 Run from the root of a checkout (stdlib only):
 
