@@ -15,12 +15,15 @@ edge maps pair them up in increasing index order.
 ``walk`` resolves every vertex in one depth-first loop over an explicit
 stack of the crossings, crossing 0 deepest, into two flat lists by
 increasing vertex: labels and circle counts.  A stack entry holds the
-root of every arc as one character of an immutable string; smoothing a
-crossing replaces one class's character by the other's, so each child
-gets its own string, nothing is undone, and a vertex numbers its
-circles without a find.  It counts generators as it goes, so a size
-cap stops it at the vertex that passes the cap.  ``resolve`` computes
-one vertex from scratch with a union-find, as a ``Resolution``.
+root of every arc as one character of an immutable string, the root of
+a class being its lowest arc; smoothing a crossing replaces the higher
+of two roots by the lower, so each child gets its own string, nothing
+is undone, and equal arc partitions give equal strings.  A vertex
+numbers its circles without a find, and only the first vertex of each
+partition does: the later ones share its labels tuple.  It counts
+generators at every vertex, so a size cap stops it at the vertex that
+passes the cap.  ``resolve`` computes one vertex from scratch with a
+union-find, as a ``Resolution``.
 
 An edge is therefore described by its shape alone: merge or split, the
 source's circle count, and the indices of the circles the crossing
@@ -105,10 +108,11 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
 def walk(d: PlanarDiagram, max_generators: float = float("inf")
          ) -> tuple[list[tuple[int, ...]], list[int]]:
     """The labels and the circle count of every vertex, by increasing
-    ``u``.  Raises ``SizeCapError`` before the walk if the cube has more
-    generators than ``max_generators`` by a lower bound, else at the
-    first vertex that takes the generators walked, 2^(circles - 1) a
-    vertex, past it."""
+    ``u``; vertices with one arc partition share one labels tuple, as
+    the circles are numbered once a partition.  Raises ``SizeCapError``
+    before the walk if the cube has more generators than
+    ``max_generators`` by a lower bound, else at the first vertex that
+    takes the generators walked, 2^(circles - 1) a vertex, past it."""
     n = len(d.crossings)
     cap = min(max_generators, sys.maxsize)  # a list holds no more labels
     # every vertex has each extra as a circle, and one more through the
@@ -121,6 +125,8 @@ def walk(d: PlanarDiagram, max_generators: float = float("inf")
     pairings = [(smoothing_pairings(cr, 1), smoothing_pairings(cr, 0))
                 for cr in d.crossings]
     labels, circles, total = [], [], 0  # total: generators walked
+    # roots -> (labels, circle count, generators), one per partition
+    numbered: dict[str, tuple[tuple[int, ...], int, int]] = {}
     # (next crossing, the root of every arc, one character each): the
     # 1-smoothing is pushed first, so u increases with crossing 0 deepest
     stack = [(n - 1, "".join(map(chr, range(arcs))))]
@@ -130,15 +136,21 @@ def walk(d: PlanarDiagram, max_generators: float = float("inf")
             for pairs in pairings[i]:
                 joined = roots
                 for x, y in pairs:
-                    joined = joined.replace(joined[y], joined[x])
+                    rx, ry = joined[x], joined[y]
+                    if rx != ry:  # keep the lower root, the lowest arc
+                        joined = (joined.replace(ry, rx) if rx < ry
+                                  else joined.replace(rx, ry))
                 stack.append((i - 1, joined))
             continue
-        # number the circles as ``resolve`` does
-        first = dict.fromkeys([roots[0], roots[marked], *roots])
-        labels.append(itemgetter(*roots)(
-            dict(zip(first, range(-1, len(first))))))
-        circles.append(len(first) - 1)
-        total += 1 << (len(first) - 2)
+        seen = numbered.get(roots)
+        if seen is None:  # number the circles as ``resolve`` does
+            first = dict.fromkeys([roots[0], roots[marked], *roots])
+            seen = numbered[roots] = (
+                itemgetter(*roots)(dict(zip(first, range(-1, len(first))))),
+                len(first) - 1, 1 << (len(first) - 2))
+        labels.append(seen[0])
+        circles.append(seen[1])
+        total += seen[2]
         if total > max_generators:
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")

@@ -32,10 +32,12 @@ monomial t lies in the one run of w with |t| + (1 + L_w - L_u) / 2
 letters x (L the letter count of a vertex).  In rank coordinates the
 image of t depends only on the edge's shape, and writing it into the
 target slice is one shift by the start of that run.  ``build`` keys an
-edge by what its shape is read from: four circle labels, two letter counts.
-The image of a shape depends on no diagram either, so each is computed
-and q-checked once per process, in a table keyed by the edge rule and
-the shape, and every later ``build`` reads it from there.
+edge by what its shape is read from: four circle labels, two letter
+counts.  Neither a key's shape nor a shape's image depends on the
+diagram, so both tables last as long as the process, one of each per
+edge rule: a shape is computed and q-checked once, a key classified
+once, and every later ``build`` reads them from there.  A key or shape
+that fails is never stored, so every build meets it again.
 
 The edge pass is vertex-major (u increasing, then every crossing where
 u has a 0): all of u's out-edges OR into u's columns while they are in
@@ -177,6 +179,12 @@ def _shape_terms(rule: Callable[[cube.EdgeCobordism], list[int]],
     return tuple(terms)
 
 
+# rule -> {edge key: its shape's terms}, as long as the process: a key
+# (four circle labels, two letter counts) names its shape without the
+# diagram, and a key whose shape fails is never stored
+_EDGE_TERMS: dict[Callable, dict[tuple[int, ...], tuple[_Term, ...]]] = {}
+
+
 def build(d: PlanarDiagram, reduced: bool = True,
           max_generators: int = DEFAULT_GENERATOR_CAP) -> FilteredComplex:
     """Assemble the filtered complex of a diagram: the reduced complex
@@ -187,25 +195,27 @@ def build(d: PlanarDiagram, reduced: bool = True,
 
     # vertex u has h = |u| - n_minus, and its run of monomials with k
     # letters x sits at (h, L_u + h + writhe - 2k): a vertex class
-    # (h, L_u) names the slices of its runs and their lengths once, and
-    # its vertices share one list of those slices' columns.  base[u][k]
-    # is where u's run with k letters x starts in its slice.
+    # (h, L_u) names the slices of its runs once, with a run of zeros to
+    # extend each by, and its vertices share one list of those slices'
+    # columns.  base[u][k] is where u's run with k letters x starts in
+    # its slice.
     slices: dict[tuple[int, int], Slice] = {}
     classes, base, run_cols = {}, [], []
     for u, k_max in enumerate(letters):
         h = u.bit_count() - d.n_minus
         cls = classes.get((h, k_max))
-        if cls is None:  # ((slice, run length) per k, their columns)
+        if cls is None:  # ((columns, runs, zero run) per k, the columns)
             top_q = k_max + h + d.writhe
-            spans = [(slices.setdefault(key, Slice(*key, [], [])), len(run))
+            spans = [(s.cols, s.runs, [0] * len(run))
                      for k, run in enumerate(_letter_runs(k_max)[0])
-                     for key in [(h, top_q - 2 * k)]]
-            cls = classes[h, k_max] = (spans, [s.cols for s, _ in spans])
+                     for key in [(h, top_q - 2 * k)]
+                     for s in [slices.setdefault(key, Slice(*key, [], []))]]
+            cls = classes[h, k_max] = (spans, [cols for cols, _, _ in spans])
         starts = []
-        for k, (s, length) in enumerate(cls[0]):
-            starts.append(len(s.cols))
-            s.cols.extend([0] * length)
-            s.runs.append((u, k))
+        for k, (cols, runs, zeros) in enumerate(cls[0]):
+            starts.append(len(cols))
+            cols += zeros
+            runs.append((u, k))
         base.append(starts)
         run_cols.append(cls[1])
 
@@ -214,7 +224,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
     # so u's columns stay in cache and a GradingError names the first bad
     # edge in (vertex, crossing) order
     rule = tqft.edge_columns_reduced
-    keyed: dict[tuple[int, ...], tuple[_Term, ...]] = {}
+    keyed = _EDGE_TERMS.setdefault(rule, {})
     steps = [(i, 1 << i, a, b, c)
              for i, (a, b, c, _) in enumerate(d.crossings)]
     for u, (src, src_letters, src_cols, src_base) in enumerate(

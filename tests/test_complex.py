@@ -120,29 +120,37 @@ def test_build_evaluates_each_edge_shape_once(store, monkeypatch, reduced):
 
 
 def test_a_second_build_reads_the_shapes_of_the_first(store, monkeypatch):
-    # the shape table lasts as long as the process: a second build of
-    # the same diagram under the same rule evaluates no shape again
+    # the shape and edge-key tables last as long as the process: a
+    # second build of the same diagram under the same rule evaluates no
+    # shape and classifies no edge key again
     d = store.corpus["9_1"]
-    real, calls = tqft.edge_columns_reduced, []
+    calls, classified = [], []
 
-    def counted(e):
-        calls.append(e)
-        return real(e)
+    def counted(real, seen):
+        def wrapper(*args):
+            seen.append(args)
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(tqft, "edge_columns_reduced", counted)
+    monkeypatch.setattr(tqft, "edge_columns_reduced",
+                        counted(tqft.edge_columns_reduced, calls))
+    monkeypatch.setattr(cube, "edge_shape",
+                        counted(cube.edge_shape, classified))
     first = build(d)
-    assert calls
+    assert calls and classified
     calls.clear()
+    classified.clear()
     second = build(d)
-    assert calls == []
+    assert calls == [] and classified == []
     assert second.slices == first.slices
 
 
 def test_a_bad_shape_fails_every_build(monkeypatch):
-    # a failed shape is not kept: every build meets it again, and names
-    # the first edge of that shape in (vertex, crossing) order; the
-    # trefoil's 2-circle merge is first met at vertex 1, crossing 1,
-    # though crossing 0 has it at vertex 2
+    # a failed shape is not kept, nor any edge key that names it: every
+    # build under the same rule meets it again, and names the first edge
+    # of that shape in (vertex, crossing) order; the trefoil's 2-circle
+    # merge is first met at vertex 1, crossing 1, though crossing 0 has
+    # it at vertex 2
     real = tqft.edge_columns_reduced
     d = parse_pd(TREFOIL)
     merge2 = cube.EdgeCobordism("merge", 2, (0, 1), (0,))
@@ -413,41 +421,38 @@ def torus_pd(n: int) -> str:
         f"{arc(2 * k + 5)})" for k in range(n)) + "]"
 
 
-def vertices_walked(monkeypatch, d, cap: float) -> int:
+def vertices_walked(d, cap: float) -> int:
     """How many vertices ``cube.walk`` numbers before it raises
-    ``SizeCapError`` on ``d`` under ``cap``."""
-    real = cube.itemgetter
-    taken = []
-
-    def counted(*arcs):  # the walk numbers each vertex's arcs with one
-        taken.append(arcs)
-        return real(*arcs)
-
-    monkeypatch.setattr(cube, "itemgetter", counted)
-    with pytest.raises(SizeCapError):
+    ``SizeCapError`` on ``d`` under ``cap``: the length of its list of
+    labels, one a vertex, in the frame that raised (none before the
+    walk)."""
+    with pytest.raises(SizeCapError) as raised:
         cube.walk(d, cap)
-    return len(taken)
+    tb = raised.tb
+    while tb.tb_frame.f_code is not cube.walk.__code__:
+        tb = tb.tb_next
+    return len(tb.tb_frame.f_locals.get("labels", ()))
 
 
-def test_size_cap_fires_before_resolving_the_cube(monkeypatch):
+def test_size_cap_fires_before_resolving_the_cube():
     # every vertex has a generator, so a cap below the 2^22 vertices is
     # refused before the walk resolves any
     assert torus_pd(3) == TREFOIL
-    assert vertices_walked(monkeypatch, parse_pd(torus_pd(22)), 1000) == 0
+    assert vertices_walked(parse_pd(torus_pd(22)), 1000) == 0
 
 
-def test_size_cap_fires_within_the_walk(monkeypatch):
+def test_size_cap_fires_within_the_walk():
     # a cap of 2^16 lets the walk start on the 2^16 vertices of T(2,16),
     # and the generators pass it before the last vertex
-    walked = vertices_walked(monkeypatch, parse_pd(torus_pd(16)), 1 << 16)
+    walked = vertices_walked(parse_pd(torus_pd(16)), 1 << 16)
     assert 0 < walked < 1 << 16
 
 
-def test_size_cap_counts_the_crossingless_circles(monkeypatch):
+def test_size_cap_counts_the_crossingless_circles():
     # one vertex, but 2^(0x110000 - 1) generators: more than a list can
     # hold even with no cap, refused before the walk names its arcs
     d = from_crossings((), extras=0x110000)
-    assert vertices_walked(monkeypatch, d, float("inf")) == 0
+    assert vertices_walked(d, float("inf")) == 0
 
 
 def test_r2_square_diagonal_matches_path_composite():

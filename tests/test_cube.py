@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import NOT_LOCAL, TREFOIL, probe_closures
+from conftest import NOT_LOCAL, TREFOIL, braid_closure, probe_closures
 from edge_words import circle_arcs, edge_shape_by_sets
 from global_layout import all_monotone_paths, monotone_path
 from khss.cube import (Resolution, classify_edge, edge_between, resolve,
@@ -62,6 +62,18 @@ def test_walk_matches_resolve(store):
         res = [resolve(d, u) for u in range(1 << len(d.crossings))]
         assert walk(d) == ([r.labels for r in res],
                            [r.circle_count for r in res])
+
+
+def test_walk_numbers_each_partition_once():
+    # equal arc partitions share one labels tuple: the walk numbers the
+    # circles once per partition, and still agrees with resolve
+    for d in (parse_pd(probe_closures()[0]), braid_closure([1, 2] * 4, 3)):
+        labels, circles = walk(d)
+        res = [resolve(d, u) for u in range(1 << len(d.crossings))]
+        assert labels == [r.labels for r in res]
+        assert circles == [r.circle_count for r in res]
+        tuples = len({id(t) for t in labels})
+        assert tuples == len(set(labels)) < len(labels)
 
 
 def test_edge_between_matches_the_arc_set_formula(store):

@@ -1,7 +1,10 @@
 """Seconds per pipeline stage and peak RSS on fixed inputs, as JSON.
 
 Each input runs in a fresh child process under an ``RLIMIT_AS`` cap.
-The child parses the diagram, then times, with ``perf_counter``:
+The child parses the diagram and runs one full garbage collection, so
+that no stage pays for collecting what the imports left (on a probe8
+input that collection was about half of a 1.4 ms walk), then times,
+with ``perf_counter``:
 
 - ``walk_s``: ``cube.walk`` of the marked diagram, alone;
 - ``build_s``: ``filtered.build``, which walks the cube again;
@@ -17,16 +20,22 @@ same inputs.  Inputs, by group:
 - ``corpus``: the bundled knots, reduced and unreduced;
 - ``braid12``: two seeded 12-crossing closures on 3 strands, drawn as
   the benchmark's ``braid-complex`` draws its class of N = 25,737;
+- ``probe8``: three seeded 8-crossing closures, the first the
+  benchmark's ``probe`` workload draws of each of its classes: the
+  inputs where the walk is the largest share of ``build``;
 - ``t37``: (s1 s2)^7, 14 crossings, 117,945 generators;
 - ``l16``: the 16-crossing 4-braid closure L16, 627,618 generators;
 - ``t213``: T(2,13), 797,163 generators.
 
 At 16 crossings ``build`` and the d^2 check are all the time: on L16
-they take about 4.3 and 3.5 s and ``compute`` 2 ms, on T(2,13) about
-3.7 and 4.7 s and ``compute`` 2 ms (``BENCH_28.json``: medians of 5 on
-a shared 2-vCPU x86-64 host, Python 3.11; its baseline, a checkout
-whose ``compute`` reduced every slice again, took 0.58 and 0.78 s
-there); on the corpus each stage takes milliseconds.
+they take about 2.2 and 2.0 s, on T(2,13) about 2.7 and 3.4 s, and
+``compute`` 2 ms on both (``BENCH_29.json``: medians of 5 on a shared
+2-vCPU x86-64 host, Python 3.11).  The walk numbers the circles once
+per distinct arc partition: it takes 0.12 s on L16, against 0.27 s for
+the baseline there, which numbered every vertex afresh, and 8 ms
+against 15-17 ms on braid12.  On probe8 the walk alone takes about
+0.6 ms, against 2.1-2.4 ms for all of ``build``; on the corpus each
+stage takes milliseconds.
 
 Run from the root of a checkout (stdlib only):
 
@@ -52,6 +61,7 @@ recorded with its error, and the other inputs still run.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -66,10 +76,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 STAGES = ("walk_s", "build_s", "d2_s", "compute_s")
-GROUPS = ("corpus", "braid12", "t37", "l16", "t213")
+GROUPS = ("corpus", "braid12", "probe8", "t37", "l16", "t213")
 BRAID12_CLASS = (12, 3, 25737, 2)  # (crossings, strands, N, how many)
 L16_WORD = [1, -2, 1, -2, 3, -2, 1, 3, -2, 3, 1, -2, 3, -2, 1, 3]
-SEED = 1  # of the braid12 draw
+SEED = 1  # of the braid12 and probe8 draws
 LIMIT_MIB = 3000  # RLIMIT_AS of each child: T(2,13) peaks near 2,050 MB
 CHILD_TIMEOUT_S = 600
 MEASURES = (*STAGES, "peak_rss_mb")
@@ -102,6 +112,13 @@ def inputs(groups: set[str]) -> list[dict]:
                                              "braid-complex"):
             closure("braid12", f"braid12-{case.name}", list(case.word),
                     case.strands)
+    if "probe8" in groups:
+        cases, at = bench_inputs.braid_cases(bench_inputs.PROBE_MIX, SEED,
+                                             "probe"), 0
+        for *_, count in bench_inputs.PROBE_MIX:  # each class's first
+            case, at = cases[at], at + count
+            closure("probe8", f"probe8-{case.name}", list(case.word),
+                    case.strands)
     if "t37" in groups:
         closure("t37", "(s1s2)^7", [1, 2] * 7, 3)
     if "l16" in groups:
@@ -126,6 +143,7 @@ def child(root: str, pd: str, reduced: bool) -> dict:
 
     d = parse_pd(pd)
     out = {"crossings": len(d.crossings)}
+    gc.collect()
     t = time.perf_counter()
     cube.walk(filtered.marked_diagram(d, reduced))
     out["walk_s"] = time.perf_counter() - t
@@ -238,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
             if e is None:
                 continue
             print(f"{label:>9}{entry['name']:>14} {entry['flavor']:>9} "
-                  + " ".join("{}={:.3f} [{:.3f}, {:.3f}]".format(
+                  + " ".join("{}={:.4g} [{:.4g}, {:.4g}]".format(
                                  k, v, *e["quartiles"][k])
                              for k, v in e.get("median", {}).items())
                   + "".join(f" {r['error']}" for r in e["runs"]
@@ -250,7 +268,8 @@ def main(argv: list[str] | None = None) -> int:
                              for k, v in entry["ratio_median"].items()),
                   file=sys.stderr)
     record = {"script": "tools/bench_stages.py", "host": host(),
-              "python": sys.version, "seeds": {"braid12": SEED},
+              "python": sys.version,
+              "seeds": {"braid12": SEED, "probe8": SEED},
               "rlimit_as_mib": LIMIT_MIB, "repeat": args.repeat,
               "baseline": Path(args.baseline).name if args.baseline else None,
               "stages": list(STAGES), "inputs": entries}
