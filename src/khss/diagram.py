@@ -51,7 +51,8 @@ class PlanarDiagram:
     components: tuple[tuple[int, ...], ...]
     incoming: tuple[int, ...] = field(repr=False, default=())
 
-    # cached: ``filtered.build`` reads n_minus and writhe once per vertex
+    # cached: every ``filtered.build`` of the diagram reads n_minus and
+    # writhe once, before its vertex loop
     @cached_property
     def n_plus(self) -> int:
         return sum(1 for s in self.signs if s > 0)

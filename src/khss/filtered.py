@@ -22,22 +22,27 @@ a basis of its image: ``verify_d_squared`` checks d^2 = 0 on those
 bases, and on success leaves their sizes on the complex with a copy of
 the columns; ``ranks`` serves them while the columns equal that copy.
 
-A slice lists its generators as runs ``(u, k)``, by increasing vertex:
-the monomials of vertex u with k letters x, in increasing order.
-Monomial m of u has the q of u's monomial 0 minus 2|m|, |m| its count
-of letters x, so the monomials of u at one q are exactly one run, and
-m sits at the run's start plus its rank among the monomials with k
-letters x.  An edge u -> w preserves q, so every target of a source
-monomial t lies in the one run of w with |t| + (1 + L_w - L_u) / 2
-letters x (L the letter count of a vertex).  In rank coordinates the
-image of t depends only on the edge's shape, and writing it into the
-target slice is one shift by the start of that run.  ``build`` keys an
-edge by what its shape is read from: four circle labels, two letter
-counts.  Neither a key's shape nor a shape's image depends on the
-diagram, so both tables last as long as the process, one of each per
-edge rule: a shape is computed and q-checked once, a key classified
-once, and every later ``build`` reads them from there.  A key or shape
-that fails is never stored, so every build meets it again.
+A slice holds only its columns: its generators follow from the
+letter count L_u of every vertex u and the diagram's n_minus and
+writhe, which the complex keeps.  Vertex u has h = |u| - n_minus, and
+its monomial m has q = L_u + h + writhe - 2|m|, |m| its count of
+letters x, so the monomials of u at one q are exactly one run: those
+with k = (L_u + h + writhe - q) / 2 letters x, in increasing order.
+Slice (h, q) holds the runs of the vertices with |u| = h + n_minus, by
+increasing vertex, and m sits at its run's start plus its rank among
+the monomials with k letters x (``_letter_runs``); ``generators`` lists
+them in that order, slice by slice in the map's order.  An edge
+u -> w preserves q, so every target of a source monomial t lies in the
+one run of w with |t| + (1 + L_w - L_u) / 2 letters x.  In rank
+coordinates the image of t depends only on the edge's shape, and
+writing it into the target slice is one shift by the start of that
+run.  ``build`` keys an edge by what its shape is read from: four
+circle labels, two letter counts.  Neither a key's shape nor a shape's
+image depends on the diagram, so both tables last as long as the
+process, one of each per edge rule: a shape is computed and q-checked
+once, a key classified once, and every later ``build`` reads them from
+there.  A key or shape that fails is never stored, so every build
+meets it again.
 
 The edge pass is vertex-major (u increasing, then every crossing where
 u has a 0): all of u's out-edges OR into u's columns while they are in
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Iterator, NamedTuple
 
 from . import cube, tqft
@@ -71,35 +77,51 @@ class KhGenerator(NamedTuple):
 
 
 class Slice(NamedTuple):
-    """The generators at one (h, q), as runs, and the columns of d out of
-    them over the local indices of the slice (h + 1, q), one a generator."""
+    """The columns of d out of the generators at one (h, q), over the
+    local indices of the slice (h + 1, q), one a generator."""
 
     h: int
     q: int
-    runs: list[tuple[int, int]]  # (u, k): u's monomials with k letters x
     cols: list[int]
 
 
 @dataclass
 class FilteredComplex:
     """The complex ``build`` gives: a map from (h, q) to its slice, in no
-    set order, and the letter count of every vertex's monomials."""
+    set order, the letter count of every vertex's monomials, and the
+    marked diagram's n_minus and writhe, which grade them."""
 
     slices: dict[tuple[int, int], Slice]
     letters: list[int]
+    n_minus: int
+    writhe: int
     # ({hq: cols}, {hq: rank}) of the last verify_d_squared, if it passed
     checked: tuple[dict, dict] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
     def generators(self) -> list[KhGenerator]:
-        """Every generator, slice by slice, derived from the runs on every
-        call (the pipeline reads the slices)."""
-        out = []
-        for s in self.slices.values():
-            for u, k in s.runs:
-                out.extend(KhGenerator(u, m, s.h, s.q)
-                           for m in _letter_runs(self.letters[u])[0][k])
+        """Every generator, slice by slice, derived from the letters on
+        every call (the pipeline reads the slices).  Vertex u of slice
+        (h, q) has a run iff 0 <= (L_u + top) / 2 <= L_u, top being
+        h + writhe - q, that is iff L_u >= |top|: |u| + L_u has one
+        parity over the cube (an edge adds 1 to |u| and 1 or -1 to L_u),
+        so the halving is exact."""
+        letters = self.letters
+        level: dict[int, list[int]] = {}
+        for u in range(len(letters)):
+            level.setdefault(u.bit_count() - self.n_minus, []).append(u)
+        runs = [_letter_runs(k)[0]
+                for k in range(max(letters, default=0) + 1)]
+        out: list[KhGenerator] = []
+        for h, q, _ in self.slices.values():
+            top = h + self.writhe - q
+            least, at_h, at_q = abs(top), repeat(h), repeat(q)
+            for u in level[h]:
+                k_max = letters[u]
+                if k_max >= least:
+                    run = runs[k_max][(k_max + top) >> 1]
+                    out += map(KhGenerator, repeat(u), run, at_h, at_q)
         return out
 
     @property
@@ -201,21 +223,21 @@ def build(d: PlanarDiagram, reduced: bool = True,
     # its slice.
     slices: dict[tuple[int, int], Slice] = {}
     classes, base, run_cols = {}, [], []
+    n_minus, writhe = d.n_minus, d.writhe
     for u, k_max in enumerate(letters):
-        h = u.bit_count() - d.n_minus
+        h = u.bit_count() - n_minus
         cls = classes.get((h, k_max))
-        if cls is None:  # ((columns, runs, zero run) per k, the columns)
-            top_q = k_max + h + d.writhe
-            spans = [(s.cols, s.runs, [0] * len(run))
+        if cls is None:  # ((columns, zero run) per k, the columns)
+            top_q = k_max + h + writhe
+            spans = [(s.cols, [0] * len(run))
                      for k, run in enumerate(_letter_runs(k_max)[0])
                      for key in [(h, top_q - 2 * k)]
-                     for s in [slices.setdefault(key, Slice(*key, [], []))]]
-            cls = classes[h, k_max] = (spans, [cols for cols, _, _ in spans])
+                     for s in [slices.setdefault(key, Slice(*key, []))]]
+            cls = classes[h, k_max] = (spans, [cols for cols, _ in spans])
         starts = []
-        for k, (cols, runs, zeros) in enumerate(cls[0]):
+        for cols, zeros in cls[0]:
             starts.append(len(cols))
             cols += zeros
-            runs.append((u, k))
         base.append(starts)
         run_cols.append(cls[1])
 
@@ -246,7 +268,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
             dst_base = base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
-    return FilteredComplex(slices, letters)
+    return FilteredComplex(slices, letters, n_minus, writhe)
 
 
 def images(c: FilteredComplex) -> Iterator[tuple]:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import global_layout
 import naive
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH
+from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, bench_closures
 from edge_words import (edge_as_generator_word, edge_word_columns,
                         grading_shift_surface)
 from global_layout import all_monotone_paths, diagonal_map
@@ -53,6 +53,10 @@ def test_criterion_02_q_homogeneity(store):
             c = store.complex(name, reduced)
             ok &= not global_layout.layout_faults(store.corpus[name], reduced,
                                                   c)
+    # the benchmark's seed-1 closures, 8 to 12 crossings, reduced
+    for pd in bench_closures("probe") + bench_closures("braid-complex"):
+        d = parse_pd(pd)
+        ok &= not global_layout.layout_faults(d, True, build(d))
     report(2, "every q-block holds one quantum degree, d raises h", ok)
 
 

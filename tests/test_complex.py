@@ -314,8 +314,8 @@ def planted_complex(rng):
             for i, col in enumerate(bases[h]):
                 inverse.append((1 << i) ^ apply(inverse, col ^ (1 << i)))
             cols = [apply(bases[h + 1], apply(planted, v)) for v in inverse]
-            slices[h, q] = Slice(h, q, [], cols)
-    return FilteredComplex(slices, [])
+            slices[h, q] = Slice(h, q, cols)
+    return FilteredComplex(slices, [], 0, 0)
 
 
 def d_squared_inputs(family, store, monkeypatch):
@@ -372,18 +372,46 @@ def test_a_column_past_its_target_slice_is_caught():
     assert global_layout.slice_faults(c) != []
 
 
+def test_a_slice_of_the_wrong_size_is_caught():
+    c = build(parse_pd(FIGURE_EIGHT), reduced=False)
+    s = next(iter(c.slices.values()))
+    s.cols.append(0)
+    assert global_layout.slice_faults(c) != []
+    s.cols[-1:] = []
+    assert global_layout.slice_faults(c) == []
+    del c.slices[s.h, s.q]
+    assert global_layout.slice_faults(c) != []
+
+
+def enumerated_generators(d, reduced, c) -> list:
+    """The generators in the order the runs of each slice listed them:
+    slices in ``c``'s map order; in a slice, by increasing vertex, then
+    increasing monomial (gradings from ``cube.resolve``)."""
+    d = marked_diagram(d, reduced)
+    at: dict = {}
+    for u in range(1 << len(d.crossings)):
+        res = resolve(d, u)
+        for m in range(1 << (res.circle_count - 1)):
+            hq = global_layout.generator_gradings(d, res, m)
+            at.setdefault(hq, []).append(filtered.KhGenerator(u, m, *hq))
+    return [g for hq in c.slices for g in at.pop(hq, [])] + [
+        g for rest in at.values() for g in rest]
+
+
 def test_build_creates_no_generator_objects(monkeypatch):
-    # the generators are derived from the slices' runs on demand
+    # the generators are derived from the letters on demand, in the
+    # order the slices' runs gave them
     def refused(*args):
         raise AssertionError("build made a KhGenerator")
 
-    d = parse_pd(FIGURE_EIGHT)
-    want = build(d).generators
-    monkeypatch.setattr(filtered, "KhGenerator", refused)
-    c = build(d)
-    monkeypatch.undo()
-    assert c.generators == want
-    assert c.n_generators == len(want)
+    for d in (parse_pd(FIGURE_EIGHT), parse_pd(probe_closures()[0])):
+        for reduced in (True, False):
+            monkeypatch.setattr(filtered, "KhGenerator", refused)
+            c = build(d, reduced=reduced)
+            monkeypatch.undo()
+            want = enumerated_generators(d, reduced, c)
+            assert c.generators == want
+            assert c.n_generators == len(want)
 
 
 def mask_bytes_per_nonzero(c) -> float:

@@ -291,7 +291,7 @@ def test_a_bit_flipped_after_the_check_is_never_served_stale_ranks(
 def add_a_slice(c):
     """A slice of one generator with d = 0 below the lowest of some q."""
     h, q = min(c.slices)
-    c.slices[h - 1, q] = Slice(h - 1, q, [], [0])
+    c.slices[h - 1, q] = Slice(h - 1, q, [0])
 
 
 def remove_a_slice(c):

@@ -15,7 +15,17 @@ with ``perf_counter``:
 
 It reports its ``ru_maxrss``, the generator and nonzero counts, and a
 sha256 of every page's dims, so two checkouts can be compared on the
-same inputs.  Inputs, by group:
+same inputs.
+
+``ru_maxrss`` follows the allocator's reuse of freed memory, not what a
+stage holds, so each input also runs once per checkout in a traced
+child, apart from the timed ones: ``tracemalloc`` runs from before the
+walk, ``<stage>_peak_mib`` is the traced peak while the stage runs
+(with all that the stages before it left held), and ``complex_mib`` is
+what freeing the complex ``build`` returned gives back, once the
+check's copy of its columns is dropped.  Its counts do not follow the
+host's speed, so one child is enough; it goes under the input's
+``traced``.  Inputs, by group:
 
 - ``corpus``: the bundled knots, reduced and unreduced;
 - ``braid12``: two seeded 12-crossing closures on 3 strands, drawn as
@@ -28,14 +38,15 @@ same inputs.  Inputs, by group:
 - ``t213``: T(2,13), 797,163 generators.
 
 At 16 crossings ``build`` and the d^2 check are all the time: on L16
-they take about 2.2 and 2.0 s, on T(2,13) about 2.7 and 3.4 s, and
-``compute`` 2 ms on both (``BENCH_29.json``: medians of 5 on a shared
-2-vCPU x86-64 host, Python 3.11).  The walk numbers the circles once
-per distinct arc partition: it takes 0.12 s on L16, against 0.27 s for
-the baseline there, which numbered every vertex afresh, and 8 ms
-against 15-17 ms on braid12.  On probe8 the walk alone takes about
-0.6 ms, against 2.1-2.4 ms for all of ``build``; on the corpus each
-stage takes milliseconds.
+they take about 2.5 and 2.6 s, on T(2,13) about 2.8 and 3.5 s, and
+``compute`` 1 ms on both (``BENCH_30.json``: medians of 5 on a shared
+2-vCPU x86-64 host, Python 3.11).  The walk takes 0.14 s on L16 and
+8 ms on braid12; on probe8 about 0.7-1.1 ms, against 2.2-3.8 ms for
+all of ``build``; on the corpus each stage takes milliseconds.  Traced,
+the complex is nearly all that ``build`` holds at its peak: 1,069 of
+1,089 MiB on L16, 1,859 of 1,868 MiB on T(2,13), 3.3-3.8 of
+4.5-5.0 MiB on braid12, against an ``ru_maxrss`` of 1,153, 2,002 and
+26-27 MB for the whole child.
 
 Run from the root of a checkout (stdlib only):
 
@@ -54,8 +65,9 @@ of one repeat form a pair: ``pair_ratios`` holds each pair's ratio of
 this checkout's value to the baseline's, per stage and for the peak
 RSS, and ``ratio_median`` their median.  A stage difference whose
 ratios straddle 1, or that is smaller than either side's quartile
-spread, is unresolved.  A child that fails (over the cap, say) is
-recorded with its error, and the other inputs still run.
+spread, is unresolved; ``traced_ratio`` holds the ratio of each traced
+measure.  A child that fails (over the cap, say) is recorded with its
+error, and the other inputs still run.
 """
 
 from __future__ import annotations
@@ -71,11 +83,15 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 STAGES = ("walk_s", "build_s", "d2_s", "compute_s")
+PEAKS = tuple(k.replace("_s", "_peak_mib") for k in STAGES)
+TRACED = (*PEAKS, "complex_mib")
+MIB = 1 << 20
 GROUPS = ("corpus", "braid12", "probe8", "t37", "l16", "t213")
 BRAID12_CLASS = (12, 3, 25737, 2)  # (crossings, strands, N, how many)
 L16_WORD = [1, -2, 1, -2, 3, -2, 1, 3, -2, 3, 1, -2, 3, -2, 1, 3]
@@ -128,9 +144,9 @@ def inputs(groups: set[str]) -> list[dict]:
     return out
 
 
-def child(root: str, pd: str, reduced: bool) -> dict:
-    """Time the stages of one input in this process; see the module
-    docstring."""
+def child(root: str, pd: str, reduced: bool, traced: bool) -> dict:
+    """Time the stages of one input in this process, or trace their
+    memory; see the module docstring."""
     cap = LIMIT_MIB << 20
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, str(Path(root) / "src"))
@@ -143,19 +159,24 @@ def child(root: str, pd: str, reduced: bool) -> dict:
 
     d = parse_pd(pd)
     out = {"crossings": len(d.crossings)}
+
+    def stage(name, fn, *args):
+        if traced:
+            tracemalloc.reset_peak()
+        t = time.perf_counter()
+        value = fn(*args)
+        out[f"{name}_s"] = time.perf_counter() - t
+        if traced:
+            out[f"{name}_peak_mib"] = tracemalloc.get_traced_memory()[1] / MIB
+        return value
+
     gc.collect()
-    t = time.perf_counter()
-    cube.walk(filtered.marked_diagram(d, reduced))
-    out["walk_s"] = time.perf_counter() - t
-    t = time.perf_counter()
-    c = filtered.build(d, reduced=reduced)
-    out["build_s"] = time.perf_counter() - t
-    t = time.perf_counter()
-    out["d2_ok"] = filtered.verify_d_squared(c)
-    out["d2_s"] = time.perf_counter() - t
-    t = time.perf_counter()
-    result = spectral.compute(c)
-    out["compute_s"] = time.perf_counter() - t
+    if traced:
+        tracemalloc.start()
+    stage("walk", cube.walk, filtered.marked_diagram(d, reduced))
+    c = stage("build", filtered.build, d, reduced)
+    out["d2_ok"] = stage("d2", filtered.verify_d_squared, c)
+    result = stage("compute", spectral.compute, c)
     out["generators"] = c.n_generators
     out["nnz"] = sum(col.bit_count() for s in c.slices.values()
                      for col in s.cols)
@@ -163,13 +184,20 @@ def child(root: str, pd: str, reduced: bool) -> dict:
     out["pages_sha256"] = hashlib.sha256(repr(pages).encode()).hexdigest()
     out["peak_rss_mb"] = resource.getrusage(
         resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    if traced:  # what freeing the complex gives back, less the check's copy
+        c.checked, result = None, None
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del c
+        gc.collect()
+        out["complex_mib"] = (held - tracemalloc.get_traced_memory()[0]) / MIB
     return out
 
 
-def run_child(root: Path, case: dict) -> dict:
+def run_child(root: Path, case: dict, traced: bool = False) -> dict:
     """One fresh child on one input: its stage record, or its error."""
     spec = json.dumps({"root": str(root), "pd": case["pd"],
-                       "reduced": case["reduced"]})
+                       "reduced": case["reduced"], "traced": traced})
     try:
         proc = subprocess.run([sys.executable, __file__, "--child", spec],
                               capture_output=True, text=True,
@@ -180,6 +208,11 @@ def run_child(root: Path, case: dict) -> dict:
         tail = (proc.stderr.strip().splitlines() or ["no output"])[-1]
         return {"error": f"exit {proc.returncode}: {tail}"}
     return json.loads(proc.stdout)
+
+
+def traced_record(run: dict) -> dict:
+    """The memory a traced child measured, or its error."""
+    return {k: run[k] for k in ("error", *TRACED) if k in run}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -237,12 +270,20 @@ def main(argv: list[str] | None = None) -> int:
             # alternate which checkout goes first, so drift hits both
             for j in sorted(range(len(checkouts)), reverse=rep % 2 == 1):
                 runs[j].append(run_child(checkouts[j], case))
+        # tracemalloc's counts do not depend on the host's speed: one
+        # traced child per checkout, apart from the timed ones
+        traced = [traced_record(run_child(root, case, traced=True))
+                  for root in checkouts]
         entry = {k: case[k] for k in ("group", "name", "word", "strands")
                  if k in case}
         entry["flavor"] = "reduced" if case["reduced"] else "unreduced"
-        entry.update(summarize(runs[0]))
+        entry.update(summarize(runs[0]), traced=traced[0])
         if args.baseline:
             base = entry["baseline"] = summarize(runs[1])
+            base["traced"] = traced[1]
+            entry["traced_ratio"] = {
+                k: traced[0][k] / traced[1][k] for k in TRACED
+                if traced[0].get(k) and traced[1].get(k)}
             entry["same_pages"] = (entry.get("pages_sha256")
                                    == base.get("pages_sha256"))
             pairs = [(a, b) for a, b in zip(*runs)
@@ -262,17 +303,27 @@ def main(argv: list[str] | None = None) -> int:
                   + "".join(f" {r['error']}" for r in e["runs"]
                             if "error" in r),
                   file=sys.stderr)
-        if entry.get("ratio_median"):
-            print(f"{'ratio':>9}{entry['name']:>14} {entry['flavor']:>9} "
-                  + " ".join(f"{k}={v:.3f}"
-                             for k, v in entry["ratio_median"].items()),
-                  file=sys.stderr)
+        for label, e in zip(("traced", "b.traced"),
+                            (entry, entry.get("baseline"))):
+            if e is not None:
+                print(f"{label:>9}{entry['name']:>14} {entry['flavor']:>9} "
+                      + " ".join(f"{k}={v:.4g}" if k != "error" else v
+                                 for k, v in e["traced"].items()),
+                      file=sys.stderr)
+        for label, key in (("ratio", "ratio_median"),
+                           ("tr.ratio", "traced_ratio")):
+            if entry.get(key):
+                print(f"{label:>9}{entry['name']:>14} {entry['flavor']:>9} "
+                      + " ".join(f"{k}={v:.3f}"
+                                 for k, v in entry[key].items()),
+                      file=sys.stderr)
     record = {"script": "tools/bench_stages.py", "host": host(),
               "python": sys.version,
               "seeds": {"braid12": SEED, "probe8": SEED},
               "rlimit_as_mib": LIMIT_MIB, "repeat": args.repeat,
               "baseline": Path(args.baseline).name if args.baseline else None,
-              "stages": list(STAGES), "inputs": entries}
+              "stages": list(STAGES), "traced": list(TRACED),
+              "inputs": entries}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n",
                               encoding="utf-8")
     return 0
