@@ -98,8 +98,8 @@ def from_crossings(crossings, extras: int = 0,
             raise StructureError(f"crossing {ci + 1} does not have 4 arcs")
         for slot, arc in enumerate(cr):
             if not 1 <= arc <= arc_count:
-                raise StructureError(
-                    f"arc {arc} out of range 1..{arc_count}")
+                raise StructureError(f"crossing {ci + 1}: arc {arc} out "
+                                     f"of range 1..{arc_count}")
             occurrences.setdefault(arc, []).append((ci, slot))
     bad = sorted(a for a in range(1, arc_count + 1)
                  if len(occurrences.get(a, [])) != 2)

@@ -13,14 +13,14 @@ raises h by 1.  The paper's differential D adds the composites along
 monotone paths; it gives the same pages (see ``spectral``).
 
 Every edge map preserves q, so d maps the generators at (h, q) into
-those at (h + 1, q) alone, and ``build`` stores the complex as a map
-from (h, q) to its ``Slice``: ``cols[j]`` is the differential of local
-generator j, bit i its coefficient on local generator i of the slice
-keyed (h + 1, q).  A column is then only as wide as its target slice.
-The map keeps no order.  ``images`` walks it and reduces each slice to
-a basis of its image: ``verify_d_squared`` checks d^2 = 0 on those
-bases, and on success leaves their sizes on the complex with a copy of
-the columns; ``ranks`` serves them while the columns equal that copy.
+those at (h + 1, q) alone, and ``build`` stores the complex as a
+read-only map from (h, q) to a tuple of columns: column j is the
+differential of local generator j, bit i its coefficient on local
+generator i of the slice keyed (h + 1, q).  A column is then only as
+wide as its target slice.  The map keeps no order, and refuses every
+write.  ``images`` walks it and reduces each slice to a basis of its
+image: ``verify_d_squared`` checks d^2 = 0 on those bases, and on
+success leaves their sizes on the complex, where ``ranks`` serves them.
 
 A slice holds only its columns: its generators follow from the
 letter count L_u of every vertex u and the diagram's n_minus and
@@ -28,8 +28,8 @@ writhe, which the complex keeps.  Vertex u has h = |u| - n_minus, and
 its monomial m has q = L_u + h + writhe - 2|m|, |m| its count of
 letters x, so the monomials of u at one q are exactly one run: those
 with k = (L_u + h + writhe - q) / 2 letters x, in increasing order.
-Slice (h, q) holds the runs of the vertices with |u| = h + n_minus, by
-increasing vertex, and m sits at its run's start plus its rank among
+The slice (h, q) holds the runs of the vertices with |u| = h + n_minus,
+by increasing vertex, and m sits at its run's start plus its rank among
 the monomials with k letters x (``_letter_runs``); ``generators`` lists
 them in that order, slice by slice in the map's order.  An edge
 u -> w preserves q, so every target of a source monomial t lies in the
@@ -56,7 +56,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import cube, tqft
 from .cube import SizeCapError  # noqa: F401  (raised by the walk in build)
@@ -76,28 +77,25 @@ class KhGenerator(NamedTuple):
     q: int
 
 
-class Slice(NamedTuple):
-    """The columns of d out of the generators at one (h, q), over the
-    local indices of the slice (h + 1, q), one a generator."""
-
-    h: int
-    q: int
-    cols: list[int]
-
-
-@dataclass
+@dataclass(frozen=True)
 class FilteredComplex:
-    """The complex ``build`` gives: a map from (h, q) to its slice, in no
-    set order, the letter count of every vertex's monomials, and the
-    marked diagram's n_minus and writhe, which grade them."""
+    """The complex ``build`` gives: a read-only map from (h, q) to the
+    column tuple of its slice, in no set order, the letter count of every
+    vertex's monomials, and the marked diagram's n_minus and writhe, which
+    grade them.  Whatever it is given, it keeps tuples alone."""
 
-    slices: dict[tuple[int, int], Slice]
-    letters: list[int]
+    slices: Mapping[tuple[int, int], tuple[int, ...]]
+    letters: tuple[int, ...]
     n_minus: int
     writhe: int
-    # ({hq: cols}, {hq: rank}) of the last verify_d_squared, if it passed
-    checked: tuple[dict, dict] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # {hq: rank} of the last verify_d_squared, if it passed
+    checked: dict[tuple[int, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slices", MappingProxyType(
+            {hq: tuple(cols) for hq, cols in self.slices.items()}))
+        object.__setattr__(self, "letters", tuple(self.letters))
 
     @property
     def generators(self) -> list[KhGenerator]:
@@ -114,7 +112,7 @@ class FilteredComplex:
         runs = [_letter_runs(k)[0]
                 for k in range(max(letters, default=0) + 1)]
         out: list[KhGenerator] = []
-        for h, q, _ in self.slices.values():
+        for h, q in self.slices:
             top = h + self.writhe - q
             least, at_h, at_q = abs(top), repeat(h), repeat(q)
             for u in level[h]:
@@ -126,15 +124,15 @@ class FilteredComplex:
 
     @property
     def n_generators(self) -> int:
-        return sum(len(s.cols) for s in self.slices.values())
+        return sum(map(len, self.slices.values()))
 
     @property
     def components(self) -> dict[int, dict[tuple[int, int, int], int]]:
         """Jump k -> {(h, q, local column) -> mask}: the stored nonzero
         columns, all at jump 1 (the benchmark's size counters read
         this view)."""
-        return {1: {(s.h, s.q, j): col for s in self.slices.values()
-                    for j, col in enumerate(s.cols) if col}}
+        return {1: {(h, q, j): col for (h, q), cols in self.slices.items()
+                    for j, col in enumerate(cols) if col}}
 
 
 def marked_diagram(d: PlanarDiagram, reduced: bool) -> PlanarDiagram:
@@ -221,7 +219,7 @@ def build(d: PlanarDiagram, reduced: bool = True,
     # extend each by, and its vertices share one list of those slices'
     # columns.  base[u][k] is where u's run with k letters x starts in
     # its slice.
-    slices: dict[tuple[int, int], Slice] = {}
+    slices: dict[tuple[int, int], list[int]] = {}
     classes, base, run_cols = {}, [], []
     n_minus, writhe = d.n_minus, d.writhe
     for u, k_max in enumerate(letters):
@@ -229,10 +227,9 @@ def build(d: PlanarDiagram, reduced: bool = True,
         cls = classes.get((h, k_max))
         if cls is None:  # ((columns, zero run) per k, the columns)
             top_q = k_max + h + writhe
-            spans = [(s.cols, [0] * len(run))
-                     for k, run in enumerate(_letter_runs(k_max)[0])
-                     for key in [(h, top_q - 2 * k)]
-                     for s in [slices.setdefault(key, Slice(*key, []))]]
+            spans = [(slices.setdefault((h, top_q - 2 * k), []),
+                      [0] * len(run))
+                     for k, run in enumerate(_letter_runs(k_max)[0])]
             cls = classes[h, k_max] = (spans, [cols for cols, _ in spans])
         starts = []
         for cols, zeros in cls[0]:
@@ -268,6 +265,11 @@ def build(d: PlanarDiagram, reduced: bool = True,
             dst_base = base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
+    # the map is the lists' last holder: each is freed as its tuple is
+    # made, so the columns are never held twice
+    del classes, run_cols, cls, spans, cols, src_cols
+    for hq, cols in slices.items():
+        slices[hq] = tuple(cols)
     return FilteredComplex(slices, letters, n_minus, writhe)
 
 
@@ -281,13 +283,12 @@ def images(c: FilteredComplex) -> Iterator[tuple]:
     something, so once d b = 0, column j is a sum of earlier ones."""
     below: dict[int, int] = {}  # the pivots of the slice reduced last
     for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
-        s, target = c.slices[h, q], c.slices.get((h + 1, q))
-        cols = target.cols if target is not None else []
-        if max(map(int.bit_length, s.cols), default=0) > len(cols):
+        cols, target = c.slices[h, q], c.slices.get((h + 1, q), ())
+        if max(map(int.bit_length, cols), default=0) > len(target):
             raise ValueError("differential does not raise h")
         below = tqft.reduce_columns(
-            s.cols, below if (h - 1, q) in c.slices else ())
-        yield (h, q), below, cols
+            cols, below if (h - 1, q) in c.slices else ())
+        yield (h, q), below, target
 
 
 def verify_d_squared(c: FilteredComplex) -> bool:
@@ -296,24 +297,21 @@ def verify_d_squared(c: FilteredComplex) -> bool:
     ``images`` gives.  The basis at (h, q) spans the image once d b = 0
     is checked at (h - 1, q), which comes first: by induction on h, each
     clearing is sound and d is zero on the whole image of d.  It always
-    checks in full, and sets ``c.checked`` on True alone."""
-    c.checked, rank = None, {}
+    checks in full, and fills ``c.checked`` on True alone."""
+    c.checked.clear()
+    rank = {}
     try:
-        for hq, basis, cols in images(c):
-            if any(tqft.compose_columns(basis.values(), cols)):
+        for hq, basis, target in images(c):
+            if any(tqft.compose_columns(basis.values(), target)):
                 return False
             rank[hq] = len(basis)
     except ValueError:
         return False
-    c.checked = ({hq: s.cols.copy() for hq, s in c.slices.items()}, rank)
+    c.checked.update(rank)
     return True
 
 
 def ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
-    """The rank of d out of each slice: the ones in ``c.checked`` if
-    every slice key and column equals what ``verify_d_squared`` passed
-    (the ranks depend on nothing else), else from a walk of ``images``."""
-    cols, rank = c.checked or (None, None)
-    if cols != {hq: s.cols for hq, s in c.slices.items()}:
-        rank = {hq: len(basis) for hq, basis, _ in images(c)}
-    return rank
+    """The rank of d out of each slice: the ones a passed check left (a
+    complex does not change), else from a walk of ``images``."""
+    return c.checked or {hq: len(basis) for hq, basis, _ in images(c)}

@@ -14,7 +14,7 @@ page 2.  Its dimension at (h, q) is the slice's size less the ranks of
 d out of the slice and into it.  The rank out of a slice is the size of
 the basis of its image that ``filtered.images`` reduces, with clearing,
 and that the d^2 check runs on: ``compute`` reuses the ranks a passed
-check left unless the complex changed since.  ``khovanov_oracle`` ranks
+check left, as a complex does not change.  ``khovanov_oracle`` ranks
 each slice by the same ``tqft.reduce_columns``, without clearing.  The
 general pairing, for a differential that may raise h by more, is the
 reference the tests check these pages against (``tests/block_view.py``).
@@ -75,8 +75,8 @@ def _dims(c: FilteredComplex,
     """The nonzero dimensions of the homology of d: at (h, q), the
     slice's size less the ranks of d out of it and into it."""
     dims = {}
-    for (h, q), s in c.slices.items():
-        dim = len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0)
+    for (h, q), cols in c.slices.items():
+        dim = len(cols) - rank[h, q] - rank.get((h - 1, q), 0)
         if dim:
             dims[h, q] = dim
     return dims
@@ -86,15 +86,14 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
     """Page 2 computed directly as homology of d (the direct route for
     ``compute(c).page(2)``): each slice's columns are ranked by
     ``tqft.reduce_columns`` with no clearing."""
-    return PageTable(2, _dims(c, {hq: len(tqft.reduce_columns(s.cols))
-                                  for hq, s in c.slices.items()}))
+    return PageTable(2, _dims(c, {hq: len(tqft.reduce_columns(cols))
+                                  for hq, cols in c.slices.items()}))
 
 
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment.  The
     differential must square to zero (``cli._pages`` checks it).  The
-    ranks of d are ``filtered.ranks``: a passed check's, unless the
-    complex changed since."""
+    ranks of d are ``filtered.ranks``: a passed check's, if any."""
     dims = _dims(c, ranks(c))
     total: dict[int, int] = {}
     for (_, q), dim in dims.items():

@@ -87,7 +87,7 @@ def edge_columns_unreduced(e: EdgeCobordism) -> list[int]:
         tuple(j + 1 for j in e.targets)))
 
 
-def compose_columns(first: Iterable[int], second: list[int]) -> list[int]:
+def compose_columns(first: Iterable[int], second: Sequence[int]) -> list[int]:
     """Columns of (second after first)."""
     out = []
     for mask in first:

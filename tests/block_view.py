@@ -65,7 +65,7 @@ def block_view(c: FilteredComplex | BlockComplex) -> BlockComplex:
     if isinstance(c, BlockComplex):
         return c
     gens = iter(c.generators)  # slice by slice, in the map's order
-    own = {hq: [next(gens) for _ in s.cols] for hq, s in c.slices.items()}
+    own = {hq: [next(gens) for _ in cols] for hq, cols in c.slices.items()}
     order = sorted(c.slices, key=lambda hq: (hq[1], -hq[0]))
     blocks: dict[int, QBlock] = {}
     offset: dict[tuple[int, int], int] = {}
@@ -75,7 +75,7 @@ def block_view(c: FilteredComplex | BlockComplex) -> BlockComplex:
         block.generators.extend(own[h, q])
     for h, q in order:
         shift = offset.get((h + 1, q), 0)
-        blocks[q].cols.extend(col << shift for col in c.slices[h, q].cols)
+        blocks[q].cols.extend(col << shift for col in c.slices[h, q])
     return BlockComplex(list(blocks.values()))
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import d_oracle
 from khss import build, compute, load_corpus, parse_pd
+from khss.filtered import FilteredComplex
 
 TREFOIL = "PD[X(1,4,2,5),X(3,6,4,1),X(5,2,6,3)]"
 TREFOIL_RH = "PD[X(4,2,5,1),X(6,4,1,3),X(2,6,3,5)]"
@@ -48,6 +49,17 @@ def bench_closures(workload: str) -> list[str]:
 
 def probe_closures() -> list[str]:
     return bench_closures("probe")
+
+
+def changed_copy(c: FilteredComplex, slices: dict) -> FilteredComplex:
+    """A new complex: ``c`` with the slice at each key of ``slices``
+    replaced by the columns given there, added if ``c`` has none, or
+    removed where they are None.  A complex does not change, so this is
+    how a test plants a fault in one; the copy has checked nothing."""
+    merged = {**c.slices, **slices}
+    return FilteredComplex({hq: cols for hq, cols in merged.items()
+                            if cols is not None},
+                           c.letters, c.n_minus, c.writhe)
 
 
 class Store:

@@ -13,11 +13,10 @@ def squares_to_zero(c: FilteredComplex) -> bool:
     """True iff the differential squares to zero: every column of the
     slice (h, q) has its rows inside the slice (h + 1, q), and the
     columns there at those rows sum to zero."""
-    for (h, q), s in c.slices.items():
-        target = c.slices.get((h + 1, q))
-        cols = target.cols if target is not None else []
-        if max(map(int.bit_length, s.cols), default=0) > len(cols):
+    for (h, q), cols in c.slices.items():
+        target = c.slices.get((h + 1, q), ())
+        if max(map(int.bit_length, cols), default=0) > len(target):
             return False
-        if any(tqft.compose_columns(s.cols, cols)):
+        if any(tqft.compose_columns(cols, target)):
             return False
     return True

@@ -122,11 +122,11 @@ def stored_entries(c) -> set:
 
 
 def slice_faults(c: FilteredComplex) -> list[str]:
-    """Where the slices of ``build`` break their layout: each slice keyed
-    by its own (h, q), one column per monomial at (h, q) of the vertices
-    (counted from their letters: C(L_u, k) at q = L_u + h + writhe - 2k),
-    a slice at every (h, q) that has generators, and every column a mask
-    over its target slice, keyed (h + 1, q)."""
+    """Where the slices of ``build`` break their layout: one column per
+    monomial at (h, q) of the vertices (counted from their letters:
+    C(L_u, k) at q = L_u + h + writhe - 2k), a slice at every (h, q) that
+    has generators, and every column a mask over its target slice, keyed
+    (h + 1, q)."""
     size: Counter = Counter()
     for u, letters in enumerate(c.letters):
         h = u.bit_count() - c.n_minus
@@ -134,15 +134,12 @@ def slice_faults(c: FilteredComplex) -> list[str]:
             size[h, letters + h + c.writhe - 2 * k] += comb(letters, k)
     faults = [f"(h, q) = {hq}: {n} generators and no slice"
               for hq, n in size.items() if hq not in c.slices]
-    for (h, q), s in c.slices.items():
-        if (s.h, s.q) != (h, q):
-            faults.append(f"(h, q) = {h, q} keys the slice at {s.h, s.q}")
-        if size[h, q] != len(s.cols):
+    for (h, q), cols in c.slices.items():
+        if size[h, q] != len(cols):
             faults.append(f"(h, q) = {h, q}: {size[h, q]} generators and "
-                          f"{len(s.cols)} columns")
-        target = c.slices.get((h + 1, q))
-        rows = len(target.cols) if target is not None else 0
-        if any(col >> rows for col in s.cols):
+                          f"{len(cols)} columns")
+        rows = len(c.slices.get((h + 1, q), ()))
+        if any(col >> rows for col in cols):
             faults.append(f"(h, q) = {h, q}: a column leaves its "
                           f"target slice")
     return faults

@@ -66,6 +66,16 @@ def test_compute_parse_error_exit_2(capsys):
     assert err
 
 
+def test_compute_arc_out_of_range_names_its_crossing_exit_2(capsys):
+    for pd, message in [
+            ("PD[X(1,2,3,4)]", "crossing 1: arc 3 out of range 1..2"),
+            ("PD[X(1,4,2,5),X(3,6,4,7),X(5,2,6,3)]",
+             "crossing 2: arc 7 out of range 1..6")]:
+        code, out, err = run(capsys, "compute", "--pd", pd)
+        assert code == 2 and not out
+        assert err == f"kh: invalid diagram: {message}\n"
+
+
 def test_compute_nonplanar_diagram_exit_2(capsys):
     code, _, err = run(capsys, "compute", "--pd", NONPLANAR)
     assert code == 2

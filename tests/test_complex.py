@@ -6,7 +6,7 @@ import pytest
 import d_oracle
 import global_layout
 from conftest import (FIGURE_EIGHT, TREFOIL, bench_closures, braid_closure,
-                      probe_closures)
+                      changed_copy, probe_closures)
 from d_squared import squares_to_zero
 from edge_words import edge_as_generator_word, edge_word_columns
 from global_layout import all_monotone_paths, diagonal_map
@@ -14,7 +14,8 @@ from khss import cube, filtered, tqft
 from khss.cube import classify_edge, resolve
 from khss.diagram import from_crossings, parse_pd
 from khss.filtered import (FilteredComplex, GradingError, SizeCapError,
-                           Slice, build, marked_diagram, verify_d_squared)
+                           build, marked_diagram, verify_d_squared)
+from khss.spectral import compute
 from moves import reidemeister2
 from test_planted import apply
 
@@ -243,22 +244,27 @@ def test_edge_words_match_edge_maps(store):
                         == tqft.edge_columns_reduced(classify_edge(d, u, i)))
 
 
+def with_column_flipped(c, hq, j, bits):
+    """A changed copy of ``c``: column j of slice ``hq`` xor ``bits``."""
+    cols = list(c.slices[hq])
+    cols[j] ^= bits
+    return changed_copy(c, {hq: cols})
+
+
 def flip_a_live_row(c):
     """Flip, in column 0 of some slice (h, q), the bit at a row whose
     own column in (h + 1, q) is nonzero, so the square cannot stay 0."""
-    s, r = next((s, r) for (h, q), s in c.slices.items()
-                if (h + 1, q) in c.slices
-                for r, col in enumerate(c.slices[h + 1, q].cols) if col)
-    s.cols[0] ^= 1 << r
-    return c
+    hq, r = next(((h, q), r) for h, q in c.slices
+                 if (h + 1, q) in c.slices
+                 for r, col in enumerate(c.slices[h + 1, q]) if col)
+    return with_column_flipped(c, hq, 0, 1 << r)
 
 
 def widen_a_column(c):
     """Set, in column 0 of some slice, the row just past its target."""
-    s, t = next((s, c.slices[h + 1, q]) for (h, q), s in c.slices.items()
-                if (h + 1, q) in c.slices)
-    s.cols[0] |= 1 << len(t.cols)
-    return c
+    hq, rows = next(((h, q), len(c.slices[h + 1, q])) for h, q in c.slices
+                    if (h + 1, q) in c.slices)
+    return with_column_flipped(c, hq, 0, 1 << rows)
 
 
 def flip_a_cleared_column(c):
@@ -268,12 +274,11 @@ def flip_a_cleared_column(c):
     no such column.  Only the d b = 0 check at (h - 1, q) can see it."""
     for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
         below, target = c.slices.get((h - 1, q)), c.slices.get((h + 1, q))
-        if below is None or target is None or not target.cols:
+        if not below or not target:
             continue
-        pivots = tqft.reduce_columns(below.cols)
+        pivots = tqft.reduce_columns(below)
         if pivots:
-            c.slices[h, q].cols[min(pivots)] ^= 1
-            return c
+            return with_column_flipped(c, (h, q), min(pivots), 1)
     return None
 
 
@@ -314,7 +319,7 @@ def planted_complex(rng):
             for i, col in enumerate(bases[h]):
                 inverse.append((1 << i) ^ apply(inverse, col ^ (1 << i)))
             cols = [apply(bases[h + 1], apply(planted, v)) for v in inverse]
-            slices[h, q] = Slice(h, q, cols)
+            slices[h, q] = cols
     return FilteredComplex(slices, [], 0, 0)
 
 
@@ -331,11 +336,11 @@ def d_squared_inputs(family, store, monkeypatch):
         for k in range(60):
             c = planted_complex(rng)
             if k % 2:  # flip one entry: d^2 may or may not stay 0
-                s, t = rng.choice([(s, t) for (h, q), s in c.slices.items()
-                                   if (t := c.slices.get((h + 1, q)))
-                                   and s.cols and t.cols])
-                s.cols[rng.randrange(len(s.cols))] ^= (
-                    1 << rng.randrange(len(t.cols)))
+                hq, s, t = rng.choice([
+                    ((h, q), s, t) for (h, q), s in c.slices.items()
+                    if s and (t := c.slices.get((h + 1, q)))])
+                c = with_column_flipped(c, hq, rng.randrange(len(s)),
+                                        1 << rng.randrange(len(t)))
             out.append((c, None if k % 2 else True))
         return out
     diagrams = [parse_pd(TREFOIL), parse_pd(FIGURE_EIGHT)]
@@ -374,13 +379,37 @@ def test_a_column_past_its_target_slice_is_caught():
 
 def test_a_slice_of_the_wrong_size_is_caught():
     c = build(parse_pd(FIGURE_EIGHT), reduced=False)
-    s = next(iter(c.slices.values()))
-    s.cols.append(0)
-    assert global_layout.slice_faults(c) != []
-    s.cols[-1:] = []
-    assert global_layout.slice_faults(c) == []
-    del c.slices[s.h, s.q]
-    assert global_layout.slice_faults(c) != []
+    hq, cols = next(iter(c.slices.items()))
+    assert global_layout.slice_faults(changed_copy(c, {hq: cols + (0,)}))
+    assert global_layout.slice_faults(changed_copy(c, {hq: cols})) == []
+    assert global_layout.slice_faults(changed_copy(c, {hq: None}))
+
+
+def test_a_built_complex_refuses_every_write():
+    # the ranks a passed check leaves stay right because nothing can
+    # change the columns they were taken from
+    c = build(parse_pd(FIGURE_EIGHT), reduced=False)
+    assert verify_d_squared(c)
+    pages = compute(c)
+    hq = next(iter(c.slices))
+
+    def set_a_slice():
+        c.slices[hq] = ()
+
+    def set_a_column():
+        c.slices[hq][0] = 1
+
+    def set_the_slices():
+        c.slices = {}
+
+    def delete_a_slice():
+        del c.slices[hq]
+
+    for write in (set_a_slice, set_a_column, set_the_slices, delete_a_slice):
+        with pytest.raises((TypeError, AttributeError)):
+            write()
+        assert compute(c) == pages
+    assert compute(changed_copy(c, {})) == pages
 
 
 def enumerated_generators(d, reduced, c) -> list:
@@ -416,7 +445,7 @@ def test_build_creates_no_generator_objects(monkeypatch):
 
 def mask_bytes_per_nonzero(c) -> float:
     """Bytes of the stored column masks per nonzero of d."""
-    cols = [col for s in c.slices.values() for col in s.cols]
+    cols = [col for s in c.slices.values() for col in s]
     return (sum(col.bit_length() for col in cols) / 8
             / sum(col.bit_count() for col in cols))
 

@@ -65,7 +65,8 @@ def test_parse_error_positions_index_the_input(text, position):
 
 def test_arc_count_validation():
     # arc 7 is out of range before arc 1 is counted once
-    with pytest.raises(StructureError, match="out of range"):
+    with pytest.raises(StructureError,
+                       match=r"^crossing 2: arc 7 out of range 1\.\.6$"):
         parse_pd("PD[X(1,4,2,5),X(3,6,4,7),X(5,2,6,3)]")
     # arc 1 appears three times, arc 2 once
     with pytest.raises(StructureError, match="arcs must appear exactly twice"):

@@ -21,7 +21,7 @@ import sys
 import pytest
 
 import tait
-from conftest import ROOT
+from conftest import ROOT, changed_copy
 from khss.diagram import parse_pd
 from khss.filtered import build, verify_d_squared
 from khss.spectral import compute
@@ -55,13 +55,14 @@ def page_two(c):
     return compute(c).page(2).dims if verify_d_squared(c) else None
 
 
-def flip_one_bit(c) -> None:
-    """Flip bit r of a column whose target slice has a nonzero column r,
-    so that d^2 of that column is no longer zero."""
-    s, r = next((s, r) for (h, q), s in sorted(c.slices.items())
-                if (h + 1, q) in c.slices
-                for r, col in enumerate(c.slices[h + 1, q].cols) if col)
-    s.cols[0] ^= 1 << r
+def flip_one_bit(c):
+    """A changed copy of ``c`` with bit r of a column flipped, r a row
+    whose own column in the target slice is nonzero, so that d^2 of that
+    column is no longer zero."""
+    hq, s, r = next(((h, q), s, r) for (h, q), s in sorted(c.slices.items())
+                    if (h + 1, q) in c.slices
+                    for r, col in enumerate(c.slices[h + 1, q]) if col)
+    return changed_copy(c, {hq: (s[0] ^ 1 << r, *s[1:])})
 
 
 def test_markov_moves_keep_the_pages():
@@ -84,8 +85,7 @@ def test_markov_moves_keep_the_pages():
     for w, strands in moves:
         assert page_two(complex_of(w, strands)) == want, (w, strands)
     # mutation control: one flipped stored bit on one side is caught
-    flip_one_bit(c)
-    assert page_two(c) != want
+    assert page_two(flip_one_bit(c)) != want
 
 
 def alternating_closures(braid_closure_pd) -> list[str]:
@@ -114,9 +114,7 @@ def test_thin_knots_have_their_determinant_on_one_diagonal():
         assert sum(dims.values()) == fox_determinant(pd), pd
         assert len({q - 2 * h for h, q in dims}) == 1, pd
     # mutation control: one flipped stored bit is caught
-    c = build(parse_pd(cases[0]))
-    flip_one_bit(c)
-    assert page_two(c) is None
+    assert page_two(flip_one_bit(build(parse_pd(cases[0])))) is None
 
 
 def test_tait_graph_counts_the_fox_determinant():
@@ -144,5 +142,4 @@ def test_a_14_crossing_alternating_knot_is_thin():
     assert sum(dims.values()) == tait.determinant(d.crossings) == 841
     assert len({q - 2 * h for h, q in dims}) == 1
     # mutation control: one flipped stored bit is caught
-    flip_one_bit(c)
-    assert page_two(c) is None
+    assert page_two(flip_one_bit(c)) is None

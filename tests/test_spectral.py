@@ -6,13 +6,14 @@ import pytest
 import block_view
 import naive
 import subspace_oracle
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL, probe_closures
+from conftest import (FIGURE_EIGHT, HOPF, TREFOIL, changed_copy,
+                      probe_closures)
 from khss import tqft
 from khss.diagram import parse_pd
-from khss.filtered import Slice, build, verify_d_squared
+from khss.filtered import build, verify_d_squared
 from khss.spectral import compare_pages, compute, khovanov_oracle
 from moves import reidemeister1, reidemeister2
-from test_complex import flip_a_cleared_column
+from test_complex import flip_a_cleared_column, with_column_flipped
 
 
 def test_oracle_against_naive_prototype():
@@ -43,13 +44,12 @@ def dense_rank_dims(c):
     elimination of the slice's columns over its target slice."""
     rank = {}
     for (h, q), s in c.slices.items():
-        target = c.slices.get((h + 1, q))
-        m = len(target.cols) if target is not None else 0
-        dense = np.array([[(col >> r) & 1 for col in s.cols]
+        m = len(c.slices.get((h + 1, q), ()))
+        dense = np.array([[(col >> r) & 1 for col in s]
                           for r in range(m)], dtype=np.uint8)
-        rank[h, q] = naive.rank_gf2(dense.reshape(m, len(s.cols)))
+        rank[h, q] = naive.rank_gf2(dense.reshape(m, len(s)))
     return {(h, q): dim for (h, q), s in c.slices.items()
-            if (dim := len(s.cols) - rank[h, q] - rank.get((h - 1, q), 0))}
+            if (dim := len(s) - rank[h, q] - rank.get((h - 1, q), 0))}
 
 
 def test_page_two_and_oracle_against_dense_rank(store):
@@ -161,7 +161,7 @@ def plain_elimination(cols):
 
 def reduced_slices(c, monkeypatch):
     """The (cols, clear) of each ``tqft.reduce_columns`` call ``compute``
-    makes on ``c``, and ``c``'s slices in the order it reduces them."""
+    makes on ``c``, and ``c``'s slice keys in the order it reduces them."""
     real, calls = tqft.reduce_columns, []
 
     def recorded(cols, clear=()):
@@ -171,16 +171,15 @@ def reduced_slices(c, monkeypatch):
     monkeypatch.setattr(tqft, "reduce_columns", recorded)
     compute(c)
     monkeypatch.undo()
-    order = sorted(c.slices, key=lambda hq: (hq[1], hq[0]))
-    return calls, [c.slices[hq] for hq in order]  # by q, then h up
+    return calls, sorted(c.slices, key=lambda hq: (hq[1], hq[0]))  # q, h up
 
 
 def cleared_columns(c, monkeypatch):
-    """Each slice of ``c`` with the local indices of the columns that
-    ``compute`` skips in it, in the order it reduces the slices."""
+    """Each slice key of ``c`` with the local indices of the columns
+    that ``compute`` skips in it, in the order it reduces the slices."""
     calls, order = reduced_slices(c, monkeypatch)
-    assert [cols for cols, _ in calls] == [s.cols for s in order]
-    return [(s, skipped) for s, (_, skipped) in zip(order, calls)]
+    assert [cols for cols, _ in calls] == [c.slices[hq] for hq in order]
+    return [(hq, skipped) for hq, (_, skipped) in zip(order, calls)]
 
 
 def test_each_slice_is_reduced_in_its_stored_column_list(store, monkeypatch):
@@ -190,21 +189,9 @@ def test_each_slice_is_reduced_in_its_stored_column_list(store, monkeypatch):
         c = build(store.corpus["4_1"], reduced)
         calls, order = reduced_slices(c, monkeypatch)
         assert len(calls) == len(order)
-        assert all(cols is s.cols for (cols, _), s in zip(calls, order))
+        assert all(cols is c.slices[hq] for (cols, _), hq in zip(calls, order))
         assert verify_d_squared(c)
         assert reduced_slices(c, monkeypatch)[0] == []
-
-
-def test_compute_leaves_the_stored_columns_as_they_are(store):
-    # the benchmark's corpus pass runs khovanov_oracle on a complex
-    # after compute has read it
-    for name in store.names():
-        for reduced in (True, False):
-            c = store.complex(name, reduced)
-            before = [list(s.cols) for s in c.slices.values()]
-            compute(c)
-            after = [s.cols for s in c.slices.values()]
-            assert after == before, (name, reduced)
 
 
 def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
@@ -213,23 +200,21 @@ def test_clearing_skips_only_columns_that_reduce_to_zero(store, monkeypatch):
     complexes += [build(parse_pd(pd)) for pd in probe_closures()]
     total = 0
     for c in complexes:
-        pivots = {hq: plain_elimination(s.cols)
-                  for hq, s in c.slices.items()}
-        for s, skipped in cleared_columns(c, monkeypatch):
-            below, _ = pivots.get((s.h - 1, s.q), (set(), set()))
+        pivots = {hq: plain_elimination(s) for hq, s in c.slices.items()}
+        for (h, q), skipped in cleared_columns(c, monkeypatch):
+            below, _ = pivots.get((h - 1, q), (set(), set()))
             assert len(skipped) == len(below)
-            assert skipped <= pivots[(s.h, s.q)][1]
+            assert skipped <= pivots[h, q][1]
             total += len(skipped)
     assert total > 0
 
 
 def test_a_cleared_column_past_its_target_slice_is_caught(monkeypatch):
     c = build(parse_pd(FIGURE_EIGHT), reduced=False)
-    s, skipped = next((s, skipped) for s, skipped
-                      in cleared_columns(c, monkeypatch) if skipped)
-    target = c.slices.get((s.h + 1, s.q))
-    width = len(target.cols) if target is not None else 0
-    s.cols[min(skipped)] |= 1 << width
+    (h, q), skipped = next((hq, skipped) for hq, skipped
+                           in cleared_columns(c, monkeypatch) if skipped)
+    width = len(c.slices.get((h + 1, q), ()))
+    c = with_column_flipped(c, (h, q), min(skipped), 1 << width)
     with pytest.raises(ValueError, match="differential does not raise h"):
         compute(c)
 
@@ -243,65 +228,64 @@ def stale_rank_inputs(store):
 
 
 def raise_a_rank(c):
-    """Add e_r to a column of some (h, q) that lies in the span of the
-    columns before it and that the clearing keeps, with r a row of
-    (h + 1, q) that is no pivot of the slice and with d e_r nonzero:
-    e_r is outside the image, so the rank of d out of (h, q) rises by
-    1, with clearing or without, and d^2 stops being 0.  None if no
-    slice has both."""
+    """A changed copy of ``c`` with e_r added to a column of some (h, q)
+    that lies in the span of the columns before it and that the clearing
+    keeps, with r a row of (h + 1, q) that is no pivot of the slice and
+    with d e_r nonzero: e_r is outside the image, so the rank of d out of
+    (h, q) rises by 1, with clearing or without, and d^2 stops being 0.
+    None if no slice has both."""
     for h, q in sorted(c.slices):
-        s, target = c.slices[h, q], c.slices.get((h + 1, q))
-        below = c.slices.get((h - 1, q))
-        pivots, zero = plain_elimination(s.cols)
-        kept = zero - plain_elimination(below.cols if below else [])[0]
-        rows = [r for r, col in enumerate(target.cols if target else ())
+        pivots, zero = plain_elimination(c.slices[h, q])
+        kept = zero - plain_elimination(c.slices.get((h - 1, q), ()))[0]
+        rows = [r for r, col in enumerate(c.slices.get((h + 1, q), ()))
                 if col and r not in pivots]
         if kept and rows:
-            s.cols[min(kept)] ^= 1 << rows[0]
-            return c
+            return with_column_flipped(c, (h, q), min(kept), 1 << rows[0])
     return None
 
 
 def test_a_bit_flipped_after_the_check_is_never_served_stale_ranks(
         store, monkeypatch):
+    # a changed copy of a checked complex, checked or not, gives the
+    # pages of the same change to a fresh twin that was never checked
     raised = 0
     for (d, reduced), flip in itertools.product(
             stale_rank_inputs(store),
             (raise_a_rank, flip_a_cleared_column)):
-        c, twin = build(d, reduced), build(d, reduced)
+        c = build(d, reduced)
         assert verify_d_squared(c)
         before = full_result(compute(c))
-        passed = {hq: list(s.cols) for hq, s in c.slices.items()}
-        if flip(c) is None:
+        flipped = flip(c)
+        if flipped is None:
             continue
-        flip(twin)  # the same bit: both complexes hold the same columns
-        after = full_result(compute(twin))
-        assert full_result(compute(c)) == after
+        after = full_result(compute(flip(build(d, reduced))))
+        assert full_result(compute(flipped)) == after
         if flip is raise_a_rank:  # the checked ranks would give before
             assert after != before
             raised += 1
-        assert not verify_d_squared(c)
-        # back to the columns that passed: the failed check left no ranks
-        for hq, s in c.slices.items():
-            s.cols[:] = passed[hq]
-        assert len(reduced_slices(c, monkeypatch)[0]) == len(c.slices)
+        assert not verify_d_squared(flipped)
+        assert full_result(compute(flipped)) == after
+        # the failed check left no ranks; the original keeps its own
+        assert len(reduced_slices(flipped, monkeypatch)[0]) == len(c.slices)
+        assert reduced_slices(c, monkeypatch)[0] == []
+        assert full_result(compute(c)) == before
     assert raised
 
 
 def add_a_slice(c):
-    """A slice of one generator with d = 0 below the lowest of some q."""
+    """A changed copy of ``c`` with a slice of one generator and d = 0
+    below the lowest of some q."""
     h, q = min(c.slices)
-    c.slices[h - 1, q] = Slice(h - 1, q, [0])
+    return changed_copy(c, {(h - 1, q): (0,)})
 
 
 def remove_a_slice(c):
-    """Drop the lowest slice of the first q (in (h, q) order) whose
-    lowest slice has d nonzero, if any: the rank into the slice above
-    drops."""
-    for h, q in sorted(c.slices):
-        if (h - 1, q) not in c.slices and any(c.slices[h, q].cols):
-            del c.slices[h, q]
-            return
+    """A changed copy of ``c`` without the lowest slice of the first q
+    (in (h, q) order) whose lowest slice has d nonzero, if any: the rank
+    into the slice above drops."""
+    hq = next(((h, q) for h, q in sorted(c.slices)
+               if (h - 1, q) not in c.slices and any(c.slices[h, q])), None)
+    return changed_copy(c, {} if hq is None else {hq: None})
 
 
 @pytest.mark.parametrize("change", [add_a_slice, remove_a_slice])
@@ -309,13 +293,14 @@ def test_a_slice_added_or_removed_after_the_check_drops_its_ranks(change,
                                                                    store):
     changed = 0
     for d, reduced in stale_rank_inputs(store):
-        c, twin = build(d, reduced), build(d, reduced)
+        c = build(d, reduced)
         assert verify_d_squared(c)
         before = full_result(compute(c))
-        change(c)
-        change(twin)
-        after = full_result(compute(twin))
-        assert full_result(compute(c)) == after
+        copy = change(c)
+        after = full_result(compute(change(build(d, reduced))))
+        assert full_result(compute(copy)) == after
+        assert verify_d_squared(copy)  # the change keeps d^2 = 0
+        assert full_result(compute(copy)) == after
         changed += after != before
     assert changed
 
