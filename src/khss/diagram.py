@@ -233,6 +233,9 @@ def parse_pd(text: str) -> PlanarDiagram:
             if body[pos] != ",":
                 raise ParseError("expected ','", at[pos])
             pos += 1
+    if basepoint is not None and not 1 <= basepoint <= 2 * len(crossings):
+        raise ParseError(f"basepoint {basepoint} is not a valid arc",
+                         at[len(body)])
     return from_crossings(crossings, extras, basepoint)
 
 

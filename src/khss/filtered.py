@@ -18,9 +18,9 @@ read-only map from (h, q) to a tuple of columns: column j is the
 differential of local generator j, bit i its coefficient on local
 generator i of the slice keyed (h + 1, q).  A column is then only as
 wide as its target slice.  The map keeps no order, and refuses every
-write.  ``images`` walks it and reduces each slice to a basis of its
-image: ``verify_d_squared`` checks d^2 = 0 on those bases, and on
-success leaves their sizes on the complex, where ``ranks`` serves them.
+write.  ``FilteredComplex.reduction`` walks it once, reducing each
+slice to a basis of its image and checking d^2 = 0 on it, and keeps the
+verdict and the ranks that ``verify_d_squared`` and ``compute`` read.
 
 A slice holds only its columns: its generators follow from the
 letter count L_u of every vertex u and the diagram's n_minus and
@@ -54,10 +54,10 @@ in (vertex, crossing) order.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import repeat
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from . import cube, tqft
 from .cube import SizeCapError  # noqa: F401  (raised by the walk in build)
@@ -88,14 +88,35 @@ class FilteredComplex:
     letters: tuple[int, ...]
     n_minus: int
     writhe: int
-    # {hq: rank} of the last verify_d_squared, if it passed
-    checked: dict[tuple[int, int], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slices", MappingProxyType(
             {hq: tuple(cols) for hq, cols in self.slices.items()}))
         object.__setattr__(self, "letters", tuple(self.letters))
+
+    @functools.cached_property
+    def reduction(self) -> tuple[bool, Mapping[tuple[int, int], int]]:
+        """(d^2 = 0, {(h, q): rank of d out of the slice}) from one walk,
+        each q's slices by increasing h; ``ValueError`` on every read if
+        a column leaves its target (an exception is not cached).  Each
+        slice is reduced to a basis of its image, skipping the columns at
+        the pivot rows of (h - 1, q) (clearing: Chen and Kerber,
+        "Persistent homology computation with a twist", 2011): a reduced
+        column of (h - 1, q) with pivot j is d of something, so once d is
+        checked zero on it, column j is a sum of earlier ones.  After a
+        first nonzero composite the walk only reduces, so the ranks are
+        always whole."""
+        slices, rank, ok = self.slices, {}, True
+        below: dict[int, int] = {}  # the pivots of the slice reduced last
+        for h, q in sorted(slices, key=lambda hq: (hq[1], hq[0])):
+            cols, target = slices[h, q], slices.get((h + 1, q), ())
+            if max(map(int.bit_length, cols), default=0) > len(target):
+                raise ValueError("differential does not raise h")
+            below = tqft.reduce_columns(
+                cols, below if (h - 1, q) in slices else ())
+            ok = ok and not any(tqft.compose_columns(below.values(), target))
+            rank[h, q] = len(below)
+        return ok, MappingProxyType(rank)
 
     @property
     def generators(self) -> list[KhGenerator]:
@@ -273,45 +294,10 @@ def build(d: PlanarDiagram, reduced: bool = True,
     return FilteredComplex(slices, letters, n_minus, writhe)
 
 
-def images(c: FilteredComplex) -> Iterator[tuple]:
-    """Per slice, each q's by increasing h: its key, the basis of the
-    image of d out of it that ``tqft.reduce_columns`` gives, and its
-    target slice's columns; ``ValueError`` if a column leaves its target.
-    The columns at the pivot rows of (h - 1, q) are skipped (clearing:
-    Chen and Kerber, "Persistent homology computation with a twist",
-    2011): the reduced column b of (h - 1, q) with pivot j is d of
-    something, so once d b = 0, column j is a sum of earlier ones."""
-    below: dict[int, int] = {}  # the pivots of the slice reduced last
-    for h, q in sorted(c.slices, key=lambda hq: (hq[1], hq[0])):
-        cols, target = c.slices[h, q], c.slices.get((h + 1, q), ())
-        if max(map(int.bit_length, cols), default=0) > len(target):
-            raise ValueError("differential does not raise h")
-        below = tqft.reduce_columns(
-            cols, below if (h - 1, q) in c.slices else ())
-        yield (h, q), below, target
-
-
 def verify_d_squared(c: FilteredComplex) -> bool:
-    """True iff the differential squares to zero: every column of a
-    slice lies inside its target, and d vanishes on each basis that
-    ``images`` gives.  The basis at (h, q) spans the image once d b = 0
-    is checked at (h - 1, q), which comes first: by induction on h, each
-    clearing is sound and d is zero on the whole image of d.  It always
-    checks in full, and fills ``c.checked`` on True alone."""
-    c.checked.clear()
-    rank = {}
+    """True iff the differential squares to zero: ``c.reduction``'s
+    verdict, and False where a column leaves its target slice."""
     try:
-        for hq, basis, target in images(c):
-            if any(tqft.compose_columns(basis.values(), target)):
-                return False
-            rank[hq] = len(basis)
+        return c.reduction[0]
     except ValueError:
         return False
-    c.checked.update(rank)
-    return True
-
-
-def ranks(c: FilteredComplex) -> dict[tuple[int, int], int]:
-    """The rank of d out of each slice: the ones a passed check left (a
-    complex does not change), else from a walk of ``images``."""
-    return c.checked or {hq: len(basis) for hq, basis, _ in images(c)}

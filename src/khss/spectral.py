@@ -12,9 +12,9 @@ Carlsson, "Computing persistent homology", 2005) every pair has gap 1:
 each page from 2 on is the homology of d, and the sequence collapses at
 page 2.  Its dimension at (h, q) is the slice's size less the ranks of
 d out of the slice and into it.  The rank out of a slice is the size of
-the basis of its image that ``filtered.images`` reduces, with clearing,
-and that the d^2 check runs on: ``compute`` reuses the ranks a passed
-check left, as a complex does not change.  ``khovanov_oracle`` ranks
+the basis of its image that ``FilteredComplex.reduction`` reduces, with
+clearing, and checks d^2 = 0 on: one walk per complex, whichever of
+``compute`` and the check reads it first.  ``khovanov_oracle`` ranks
 each slice by the same ``tqft.reduce_columns``, without clearing.  The
 general pairing, for a differential that may raise h by more, is the
 reference the tests check these pages against (``tests/block_view.py``).
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tqft
-from .filtered import FilteredComplex, ranks
+from .filtered import FilteredComplex
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 def compute(c: FilteredComplex) -> SpectralResult:
     """All pages from 2 to stabilization, collapse page, abutment.  The
     differential must square to zero (``cli._pages`` checks it).  The
-    ranks of d are ``filtered.ranks``: a passed check's, if any."""
-    dims = _dims(c, ranks(c))
+    ranks of d are ``c.reduction``'s, which the check reads too."""
+    dims = _dims(c, c.reduction[1])
     total: dict[int, int] = {}
     for (_, q), dim in dims.items():
         total[q] = total.get(q, 0) + dim

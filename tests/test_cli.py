@@ -120,6 +120,17 @@ def test_compute_bad_basepoint_exit_2(capsys):
     assert "invalid diagram: basepoint 99 is not a valid arc" in err
 
 
+def test_compute_basepoint_past_the_arcs_names_its_position_exit_2(capsys):
+    # the position is that of the '@' in the PD text
+    for pd, message in [
+            (TREFOIL + "@arc=7", "basepoint 7 is not a valid arc "
+                                 "(at position 36)"),
+            ("U@arc=1", "basepoint 1 is not a valid arc (at position 1)")]:
+        code, out, err = run(capsys, "compute", "--pd", pd)
+        assert code == 2 and not out
+        assert err == f"kh: invalid diagram: {message}\n"
+
+
 def test_compute_unreadable_file_exit_2(capsys):
     code, _, _ = run(capsys, "compute", "--pd", "@/no/such/file")
     assert code == 2

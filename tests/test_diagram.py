@@ -265,6 +265,11 @@ def test_load_corpus_errors(tmp_path):
         load_corpus(str(spaced))
     assert exc.value.position == 7
     assert "a,  PD[X(1,2,3)]"[exc.value.position] == "X"
+    # so does the position of a basepoint that is not an arc
+    spaced.write_text("a, U @arc=1\n")
+    with pytest.raises(ParseError, match="line 1: basepoint 1 is not") as exc:
+        load_corpus(str(spaced))
+    assert "a, U @arc=1"[exc.value.position] == "@"
 
     # a byte order mark is not part of the first line
     bom = tmp_path / "bom.csv"

@@ -13,7 +13,8 @@ from khss.diagram import parse_pd
 from khss.filtered import build, verify_d_squared
 from khss.spectral import compare_pages, compute, khovanov_oracle
 from moves import reidemeister1, reidemeister2
-from test_complex import flip_a_cleared_column, with_column_flipped
+from test_complex import (flip_a_cleared_column, widen_a_column,
+                          with_column_flipped)
 
 
 def test_oracle_against_naive_prototype():
@@ -264,12 +265,51 @@ def test_a_bit_flipped_after_the_check_is_never_served_stale_ranks(
             assert after != before
             raised += 1
         assert not verify_d_squared(flipped)
+        # the failed check kept whole ranks: compute reduces nothing and
+        # still gives the twin's pages; the original keeps its own
+        assert reduced_slices(flipped, monkeypatch)[0] == []
         assert full_result(compute(flipped)) == after
-        # the failed check left no ranks; the original keeps its own
-        assert len(reduced_slices(flipped, monkeypatch)[0]) == len(c.slices)
         assert reduced_slices(c, monkeypatch)[0] == []
         assert full_result(compute(c)) == before
     assert raised
+
+
+@pytest.mark.parametrize("check_first", [True, False])
+@pytest.mark.parametrize("change", [None, raise_a_rank, flip_a_cleared_column])
+def test_the_check_and_compute_reduce_each_slice_once(change, check_first,
+                                                       monkeypatch):
+    # verify_d_squared and compute, in either order, on a complex that
+    # passes or on a changed copy that fails: each slice is reduced once
+    # in all, and the verdict and pages are those of fresh twins
+    def make():
+        c = build(parse_pd(FIGURE_EIGHT), reduced=False)
+        return c if change is None else change(c)
+
+    c, real, calls = make(), tqft.reduce_columns, []
+
+    def recorded(cols, clear=()):
+        calls.append(cols)
+        return real(cols, clear)
+
+    monkeypatch.setattr(tqft, "reduce_columns", recorded)
+    if check_first:
+        ok = verify_d_squared(c)
+        pages = full_result(compute(c))
+    else:
+        pages = full_result(compute(c))
+        ok = verify_d_squared(c)
+    monkeypatch.undo()
+    assert sorted(map(id, calls)) == sorted(map(id, c.slices.values()))
+    assert ok == verify_d_squared(make()) == (change is None)
+    assert pages == full_result(compute(make()))
+
+
+def test_a_column_past_its_target_fails_on_every_call():
+    c = widen_a_column(build(parse_pd(FIGURE_EIGHT), reduced=False))
+    for _ in range(2):  # an exception is not cached
+        assert not verify_d_squared(c)
+        with pytest.raises(ValueError, match="differential does not raise h"):
+            compute(c)
 
 
 def add_a_slice(c):

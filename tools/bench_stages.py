@@ -10,8 +10,8 @@ with ``perf_counter``:
 - ``build_s``: ``filtered.build``, which walks the cube again;
 - ``d2_s``: ``filtered.verify_d_squared``;
 - ``compute_s``: ``spectral.compute``, right after the check on the
-  same complex, so it reads the ranks the check left: it times the
-  pages from the checked ranks, not a reduction of the slices.
+  same complex, so it reads ``c.reduction``, which the check ran: it
+  times the pages from those ranks, not a reduction of the slices.
 
 It reports its ``ru_maxrss``, the generator and nonzero counts, and a
 sha256 of every page's dims, so two checkouts can be compared on the
