@@ -30,7 +30,7 @@ letters x, so the monomials of u at one q are exactly one run: those
 with k = (L_u + h + writhe - q) / 2 letters x, in increasing order.
 The slice (h, q) holds the runs of the vertices with |u| = h + n_minus,
 by increasing vertex, and m sits at its run's start plus its rank among
-the monomials with k letters x (``_letter_runs``); ``generators`` lists
+the monomials with k letters x (``_letter_runs``); ``generators`` yields
 them in that order, slice by slice in the map's order.  An edge
 u -> w preserves q, so every target of a source monomial t lies in the
 one run of w with |t| + (1 + L_w - L_u) / 2 letters x.  In rank
@@ -48,7 +48,8 @@ The edge pass is vertex-major (u increasing, then every crossing where
 u has a 0): all of u's out-edges OR into u's columns while they are in
 cache, where crossing-major took 1.2-1.6x as long at 11-16 crossings
 (CPython 3.11, x86-64), and a ``GradingError`` names the first bad edge
-in (vertex, crossing) order.
+in (vertex, crossing) order.  Every in-edge of u starts lower, so
+``build`` drops u's layout once u's out-edges are written.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import functools
 from dataclasses import dataclass, replace
 from itertools import repeat
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import cube, tqft
 from .cube import SizeCapError  # noqa: F401  (raised by the walk in build)
@@ -119,20 +120,19 @@ class FilteredComplex:
         return ok, MappingProxyType(rank)
 
     @property
-    def generators(self) -> list[KhGenerator]:
-        """Every generator, slice by slice, derived from the letters on
-        every call (the pipeline reads the slices).  Vertex u of slice
-        (h, q) has a run iff 0 <= (L_u + top) / 2 <= L_u, top being
-        h + writhe - q, that is iff L_u >= |top|: |u| + L_u has one
-        parity over the cube (an edge adds 1 to |u| and 1 or -1 to L_u),
-        so the halving is exact."""
+    def generators(self) -> Iterator[KhGenerator]:
+        """Yields every generator, slice by slice, derived afresh from
+        the letters on every read (the pipeline reads the slices).
+        Vertex u of slice (h, q) has a run iff 0 <= (L_u + top) / 2 <=
+        L_u, top being h + writhe - q, that is iff L_u >= |top|: |u| + L_u
+        has one parity over the cube (an edge adds 1 to |u| and 1 or -1
+        to L_u), so the halving is exact."""
         letters = self.letters
         level: dict[int, list[int]] = {}
         for u in range(len(letters)):
             level.setdefault(u.bit_count() - self.n_minus, []).append(u)
         runs = [_letter_runs(k)[0]
                 for k in range(max(letters, default=0) + 1)]
-        out: list[KhGenerator] = []
         for h, q in self.slices:
             top = h + self.writhe - q
             least, at_h, at_q = abs(top), repeat(h), repeat(q)
@@ -140,8 +140,7 @@ class FilteredComplex:
                 k_max = letters[u]
                 if k_max >= least:
                     run = runs[k_max][(k_max + top) >> 1]
-                    out += map(KhGenerator, repeat(u), run, at_h, at_q)
-        return out
+                    yield from map(KhGenerator, repeat(u), run, at_h, at_q)
 
     @property
     def n_generators(self) -> int:
@@ -286,6 +285,8 @@ def build(d: PlanarDiagram, reduced: bool = True,
             dst_base = base[w]
             for k, r, k2, mask in terms:
                 src_cols[k][src_base[k] + r] |= mask << dst_base[k2]
+        # every in-edge of u starts lower: u's layout is read no more
+        base[u] = labels[u] = None
     # the map is the lists' last holder: each is freed as its tuple is
     # made, so the columns are never held twice
     del classes, run_cols, cls, spans, cols, src_cols

@@ -22,9 +22,10 @@ stage holds, so each input also runs once per checkout in a traced
 child, apart from the timed ones: ``tracemalloc`` runs from before the
 walk, ``<stage>_peak_mib`` is the traced peak while the stage runs
 (with all that the stages before it left held), and ``complex_mib`` is
-what freeing the complex ``build`` returned gives back.  Its counts do
-not follow the host's speed, so one child is enough; it goes under the
-input's ``traced``.  Inputs, by group:
+what freeing the complex ``build`` returned gives back, and
+``build_over_complex`` the ratio of the two.  Its counts do not follow
+the host's speed, so one child is enough; it goes under the input's
+``traced``.  Inputs, by group:
 
 - ``corpus``: the bundled knots, reduced and unreduced;
 - ``braid12``: two seeded 12-crossing closures on 3 strands, drawn as
@@ -43,9 +44,10 @@ they take about 2.5 and 2.6 s, on T(2,13) about 2.8 and 3.5 s, and
 8 ms on braid12; on probe8 about 0.7-1.1 ms, against 2.2-3.8 ms for
 all of ``build``; on the corpus each stage takes milliseconds.  Traced,
 the complex is nearly all that ``build`` holds at its peak: 1,069 of
-1,089 MiB on L16, 1,859 of 1,868 MiB on T(2,13), 3.3-3.8 of
-4.5-5.0 MiB on braid12, against an ``ru_maxrss`` of 1,153, 2,002 and
-26-27 MB for the whole child.
+1,072 MiB on L16, 1,859 of 1,864 MiB on T(2,13), 3.3-3.8 of
+3.7-4.1 MiB on braid12 (``build_over_complex`` 1.10-1.11), against an
+``ru_maxrss`` of 1,152, 1,998 and 26 MB for the whole child
+(``BENCH_33.json``).
 
 Run from the root of a checkout (stdlib only):
 
@@ -89,7 +91,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 STAGES = ("walk_s", "build_s", "d2_s", "compute_s")
 PEAKS = tuple(k.replace("_s", "_peak_mib") for k in STAGES)
-TRACED = (*PEAKS, "complex_mib")
+TRACED = (*PEAKS, "complex_mib", "build_over_complex")
 MIB = 1 << 20
 GROUPS = ("corpus", "braid12", "probe8", "t37", "l16", "t213")
 BRAID12_CLASS = (12, 3, 25737, 2)  # (crossings, strands, N, how many)
@@ -190,6 +192,7 @@ def child(root: str, pd: str, reduced: bool, traced: bool) -> dict:
         del c
         gc.collect()
         out["complex_mib"] = (held - tracemalloc.get_traced_memory()[0]) / MIB
+        out["build_over_complex"] = out["build_peak_mib"] / out["complex_mib"]
     return out
 
 
