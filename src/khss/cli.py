@@ -321,7 +321,7 @@ def cmd_compute(args) -> int:
 def cmd_probe(args) -> int:
     try:
         corpus = load_corpus(args.corpus)
-    except (OSError, ParseError, StructureError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load corpus: {exc}")
     records = _records(corpus, args, args.threads)
     w = csv.writer(sys.stdout)

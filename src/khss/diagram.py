@@ -119,49 +119,42 @@ def from_crossings(crossings, extras: int = 0,
 
 def _walk_strands(crossings, occurrences):
     """Walk every strand once; return each crossing's incoming mask (bit
-    s set = slot s incoming) and the components as arc cycles.
+    s set = slot s incoming) and the components as arc cycles, each from
+    its lowest arc, in increasing order of that arc.
 
     A strand entering a crossing at slot s leaves at slot s ^ 2 and runs
     along that slot's arc into the arc's other occurrence.  Walks start
     at slot a of each crossing, then at slot b of each crossing whose
     over strand no walk has entered.  Each slot is entered from one slot
-    only, so a walk closes at its start, and entering b or d opposite an
-    entered slot needs the step before to have done so too: the one
-    conflict is entering a slot c.
+    only, so a walk from an unentered slot closes at its start, having
+    traced one whole component, and entering b or d opposite an entered
+    slot needs the step before to have done so too: the one conflict is
+    entering a slot c.
     """
     entered = [0] * len(crossings)
-    succ: dict[int, int] = {}
+    components = []
 
     def walk(ci, slot):
+        comp = []
         while not (entered[ci] >> slot) & 1:
             if slot == 2:
                 raise StructureError(
                     f"unorientable diagram at crossing {ci + 1}")
             entered[ci] |= 1 << slot
             arc_in, arc = crossings[ci][slot], crossings[ci][slot ^ 2]
-            succ[arc_in] = arc
+            comp.append(arc_in)
             first, second = occurrences[arc]
             ci, slot = second if first == (ci, slot ^ 2) else first
+        if comp:
+            i = comp.index(min(comp))
+            components.append(tuple(comp[i:] + comp[:i]))
 
     for ci in range(len(crossings)):
         walk(ci, 0)
     for ci in range(len(crossings)):
         if not entered[ci] & 0b1010:
             walk(ci, 1)
-
-    seen: set[int] = set()
-    components = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        comp = []
-        a = start
-        while a not in seen:
-            seen.add(a)
-            comp.append(a)
-            a = succ[a]
-        components.append(tuple(comp))
-    return tuple(entered), tuple(components)
+    return tuple(entered), tuple(sorted(components))
 
 
 def _crossing_sign(incoming_mask: int) -> int:

@@ -102,7 +102,7 @@ def compute(c: FilteredComplex) -> SpectralResult:
     length = max(heights) - min(heights) if heights else 0
     # d has jump 1 alone, so every page from 2 on is page 2
     pages = tuple(PageTable(r, dict(dims))
-                  for r in range(2, max(2, length + 2) + 1))
+                  for r in range(2, length + 3))
     return SpectralResult(pages, 2, total)
 
 

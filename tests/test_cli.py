@@ -496,6 +496,15 @@ def test_probe_counts_the_cpus_it_may_use(capsys, monkeypatch):
     assert serial[0] == 0 and len(serial[1].splitlines()) == 10
 
 
+def test_cpus_off_an_affinity_platform_are_the_cpu_count(monkeypatch):
+    # the default of `kh probe --threads` where os has no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._cpus() == 1
+
+
 def test_probe_warm_pass_forks_nothing(capsys, monkeypatch, tmp_path):
     cache = str(tmp_path / "cache")
     cold = run(capsys, "probe", corpus_path(), "--cache", cache)

@@ -120,6 +120,12 @@ def test_classify_edge_rejects_set_bit():
         classify_edge(d, 0b001, 0)
 
 
+def test_resolve_rejects_a_bit_past_the_crossings():
+    d = parse_pd(TREFOIL)
+    with pytest.raises(ValueError, match="more bits than crossings"):
+        resolve(d, 1 << len(d.crossings))
+
+
 def test_monotone_path_lex():
     assert monotone_path(0b000, 0b101) == [0, 2]
     assert monotone_path(0b010, 0b010) == []

@@ -1,8 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, braid_closure
+from conftest import (FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, bench_closures,
+                      braid_closure, corpus_path)
 from khss.diagram import (
     ParseError,
     StructureError,
@@ -77,6 +82,12 @@ def test_arc_count_validation():
         from_crossings([(1, 2, 3)])
 
 
+def test_a_basepoint_on_no_component_is_rejected():
+    d = dataclasses.replace(parse_pd(TREFOIL), basepoint=99)
+    with pytest.raises(StructureError, match="not on any component"):
+        d.marked_component()
+
+
 def test_signs_left_handed_trefoil():
     assert parse_pd(TREFOIL).signs == (-1, -1, -1)
     assert parse_pd(TREFOIL).writhe == -3
@@ -96,6 +107,48 @@ def test_hopf_two_components():
     d = parse_pd(HOPF)
     assert len(d.components) == 2
     assert abs(d.writhe) == 2
+
+
+def test_components_follow_the_incoming_slots():
+    # each arc's head is the one of its two occurrences whose slot is
+    # incoming; a strand entering slot s leaves at slot s ^ 2
+    diagrams = [d for _, d in load_corpus(corpus_path())]
+    diagrams += [parse_pd(pd) for workload in ("probe", "braid-complex")
+                 for pd in bench_closures(workload)]
+    diagrams += [parse_pd(pd) for pd in
+                 ("U+U", "PD[X(2,1,2,1)]", HOPF + "+U")]
+    # a link whose walk from slot a of crossing 4 enters arc 6 before arc 2
+    diagrams.append(braid_closure([3, 2, 5, 2, 3, 1, -5, -1], 6))
+    for d in diagrams:
+        text = render(d)
+        nxt = {}
+        for cr, mask in zip(d.crossings, d.incoming):
+            # a in, c out, and one of b and d in
+            assert mask & 5 == 1 and mask & 10 in (2, 8), text
+            for s in range(4):
+                if mask >> s & 1:
+                    assert cr[s] not in nxt, text
+                    nxt[cr[s]] = cr[s ^ 2]
+        arcs = [a for comp in d.components for a in comp]
+        assert sorted(arcs) == sorted(nxt) == list(range(1, d.arc_count + 1))
+        firsts = [comp[0] for comp in d.components]
+        assert firsts == sorted(firsts), text
+        for comp in d.components:
+            assert comp[0] == min(comp), text
+            for i, a in enumerate(comp):
+                assert nxt[a] == comp[(i + 1) % len(comp)], text
+
+
+def test_benchmark_inputs_match_their_pinned_digests():
+    # sha256 of the seed-1 closures the benchmark draws through
+    # gen_corpus.braid_closure_pd, one PD text a line; a deliberate change
+    # of those inputs writes the new digests to the file
+    pinned = json.loads((Path(__file__).parent / "data" /
+                         "bench_input_digests.json").read_text())
+    got = {workload: hashlib.sha256("".join(
+        pd + "\n" for pd in bench_closures(workload)).encode()).hexdigest()
+        for workload in pinned}
+    assert got == pinned
 
 
 def test_unorientable_diagram_rejected():

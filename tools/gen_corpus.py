@@ -43,24 +43,16 @@ def braid_closure_pd(word: list[int], strands: int) -> str:
             crossings.append((y, x, u, v))
         cur[i - 1], cur[i] = u, v
 
-    # closure: strand ends rejoin their starts
-    parent = list(range(nxt))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(cur, start):
-        parent[find(a)] = find(b)
-
+    # closure: each strand's end rejoins its start.  A crossing writes
+    # only fresh labels, so an end is fresh or, on a strand no crossing
+    # touched, its own start
+    join = dict(zip(cur, start))
     relabel: dict[int, int] = {}
     out = []
     for t in crossings:
         canon = []
         for a in t:
-            r = find(a)
+            r = join.get(a, a)
             if r not in relabel:
                 relabel[r] = len(relabel) + 1
             canon.append(relabel[r])
