@@ -40,19 +40,24 @@ class PlanarDiagram:
     ``basepoint`` is an arc label, or None when the marked component is
     the first crossingless unknot component.  ``incoming`` records, per
     crossing, which slots hold the head of their arc (bit s set = slot s
-    incoming), which fixes the direction of every strand.
+    incoming), which fixes the direction of every strand and so the signs.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
     arc_count: int
     basepoint: int | None
     unknotted_extras: int
-    signs: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    incoming: tuple[int, ...] = field(repr=False, default=())
+    incoming: tuple[int, ...] = field(repr=False)
 
     # cached: every ``filtered.build`` of the diagram reads n_minus and
     # writhe once, before its vertex loop
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        # Over pair is slots 1 (east) and 3 (west); under points north.
+        # West incoming means the over strand runs left to right: positive.
+        return tuple(1 if mask & 8 else -1 for mask in self.incoming)
+
     @cached_property
     def n_plus(self) -> int:
         return sum(1 for s in self.signs if s > 0)
@@ -85,7 +90,7 @@ class PlanarDiagram:
 
 def from_crossings(crossings, extras: int = 0,
                    basepoint: int | None = None) -> PlanarDiagram:
-    """Validate crossing tuples, trace components, and assign signs."""
+    """Validate crossing tuples and trace the components."""
     crossings = tuple(tuple(int(x) for x in c) for c in crossings)
     n = len(crossings)
     arc_count = 2 * n
@@ -111,9 +116,8 @@ def from_crossings(crossings, extras: int = 0,
                       for a, c in counts.items()))
 
     incoming, components = _walk_strands(crossings, occurrences)
-    signs = tuple(_crossing_sign(mask) for mask in incoming)
-    d = PlanarDiagram(crossings, arc_count, None, extras,
-                      signs, components, incoming)
+    d = PlanarDiagram(crossings, arc_count, None, extras, components,
+                      incoming)
     return d.with_basepoint(1 if basepoint is None and n else basepoint)
 
 
@@ -155,12 +159,6 @@ def _walk_strands(crossings, occurrences):
         if not entered[ci] & 0b1010:
             walk(ci, 1)
     return tuple(entered), tuple(sorted(components))
-
-
-def _crossing_sign(incoming_mask: int) -> int:
-    # Over pair is slots 1 (east) and 3 (west); under points north.
-    # West incoming means the over strand runs left to right: positive.
-    return 1 if (incoming_mask >> 3) & 1 else -1
 
 
 _X_RE = re.compile(r"X\((\d+),(\d+),(\d+),(\d+)\)")
@@ -249,22 +247,15 @@ def render(d: PlanarDiagram) -> str:
 
 
 def is_alternating(d: PlanarDiagram) -> bool:
-    """True when every strand alternates over/under passes."""
-    if not d.crossings:
-        return True
-    # under passes: slots 0/2; over passes: slots 1/3
-    pass_kind: dict[int, bool] = {}  # arc -> True if its head pass is under
-    for ci, cr in enumerate(d.crossings):
-        mask = d.incoming[ci]
-        for slot in range(4):
-            if (mask >> slot) & 1:
-                pass_kind[cr[slot]] = slot in (0, 2)
-    for comp in d.components:
-        kinds = [pass_kind[a] for a in comp]
-        for i in range(len(kinds)):
-            if kinds[i] == kinds[(i + 1) % len(kinds)]:
-                return False
-    return True
+    """True when every strand alternates over/under passes.
+
+    Slots 1 and 3 are over passes.  A strand entering slot s leaves at
+    slot s ^ 2, a pass of the same kind, so consecutive passes along a
+    component differ exactly when each arc has one end on an odd slot:
+    when the odd slots of n crossings hold 2n distinct arcs.  A one-arc
+    component has both ends at one pass, and is never alternating.
+    """
+    return len({a for cr in d.crossings for a in cr[1::2]}) == d.arc_count
 
 
 def load_corpus(path: str) -> list[tuple[str, PlanarDiagram]]:

@@ -23,15 +23,20 @@ def corpus_path() -> str:
     return str(resources.files("khss") / "data" / "knots.csv")
 
 
+def corpus_tool():
+    """The module ``tools/gen_corpus.py``."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import gen_corpus
+    finally:
+        del sys.path[0]
+    return gen_corpus
+
+
 def braid_closure(word: list[int], strands: int):
     """The diagram of the closure of a braid word (i = sigma_i, -i its
     inverse) on ``strands`` strands."""
-    sys.path.insert(0, str(ROOT / "tools"))
-    try:
-        from gen_corpus import braid_closure_pd
-    finally:
-        del sys.path[0]
-    return parse_pd(braid_closure_pd(word, strands))
+    return parse_pd(corpus_tool().braid_closure_pd(word, strands))
 
 
 def bench_closures(workload: str) -> list[str]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (FIGURE_EIGHT, HOPF, TREFOIL, TREFOIL_RH, bench_closures,
-                      braid_closure, corpus_path)
+                      braid_closure, corpus_path, corpus_tool)
 from khss.diagram import (
     ParseError,
     StructureError,
@@ -149,6 +149,34 @@ def test_benchmark_inputs_match_their_pinned_digests():
         pd + "\n" for pd in bench_closures(workload)).encode()).hexdigest()
         for workload in pinned}
     assert got == pinned
+
+
+def test_braid_closure_has_a_component_per_cycle():
+    # one component per cycle of the word's permutation; a strand that no
+    # letter touches closes to a crossingless unknot
+    rng = random.Random(35)
+    skipped = 0
+    for _ in range(2000):
+        strands = rng.randint(1, 6)
+        letters = rng.sample(range(1, strands), rng.randint(0, strands - 1))
+        word = [rng.choice((1, -1)) * rng.choice(letters)
+                for _ in range(rng.randint(0, 10) if letters else 0)]
+        perm = list(range(strands))
+        for letter in word:
+            i = abs(letter)
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        cycles, seen = 0, set()
+        for s in range(strands):
+            cycles += s not in seen
+            while s not in seen:
+                seen.add(s)
+                s = perm[s]
+        touched = {abs(x) for x in word} | {abs(x) + 1 for x in word}
+        skipped += len(touched) < strands
+        d = braid_closure(word, strands)
+        assert len(d.components) + d.unknotted_extras == cycles, (word,
+                                                                  strands)
+    assert skipped > 500
 
 
 def test_unorientable_diagram_rejected():
@@ -297,6 +325,22 @@ def test_random_moves_stay_valid():
 def test_is_alternating():
     assert is_alternating(parse_pd(TREFOIL))
     assert is_alternating(parse_pd(FIGURE_EIGHT))
+    # the corpus generator's flag for each knot, false for 8_19
+    corpus = dict(load_corpus(corpus_path()))
+    flags = {name: alternating for name, word, _, _, alternating
+             in corpus_tool().ENTRIES if word is not None}
+    assert not flags["8_19"]
+    for name, alternating in flags.items():
+        assert is_alternating(corpus[name]) == alternating, name
+    for k in range(1, 5):
+        assert not is_alternating(braid_closure([1, 2] * k, 3)), k
+        assert is_alternating(braid_closure([1, -2] * k, 3)), k
+    for n in range(1, 8):
+        assert is_alternating(braid_closure([1] * n, 2)), n
+    # a one-arc component meets one crossing at two passes of one kind
+    assert not is_alternating(parse_pd("PD[X(2,1,2,1)]"))
+    assert is_alternating(parse_pd("U"))
+    assert is_alternating(parse_pd("U+U"))
 
 
 def test_load_corpus_errors(tmp_path):
