@@ -2,9 +2,9 @@
 
 The package builds the cube of resolutions of a planar diagram, assembles
 the Khovanov complex (reduced or unreduced flavor) filtered by
-homological degree, and computes the pages of the induced spectral
-sequence (all equal to Khovanov homology from page 2 on, see
-``khss.spectral``) together with collapse and invariance diagnostics.
+homological degree, and computes page 2 of the induced spectral
+sequence, Khovanov homology, which every later page equals (see
+``khss.spectral``), together with invariance diagnostics.
 """
 
 from .diagram import (

@@ -32,8 +32,7 @@ from .diagram import (
 )
 from .filtered import (DEFAULT_GENERATOR_CAP, GradingError, SizeCapError,
                        build, verify_d_squared)
-from .spectral import (PageTable, SpectralResult, Verdict, compare_pages,
-                       compute)
+from .spectral import SpectralResult, Verdict, compare_pages, compute
 from .tqft import (GENERATOR_ARITY, Generator, GeneratorWord, check_triangle,
                    grading_shift_word)
 
@@ -56,16 +55,13 @@ def run_record(d: PlanarDiagram, reduced: bool, result: SpectralResult,
                name: str = "", elapsed: float = 0.0) -> dict:
     """What ``kh`` prints and caches: the one writer of that format."""
     pd = render(d)
-    pages = {
-        str(pt.r): {f"{p},{q}": dim for (p, q), dim in sorted(pt.dims.items())}
-        for pt in result.pages
-    }
+    table = {f"{p},{q}": dim for (p, q), dim in sorted(result.e2.items())}
     return {
         "diagram": {"name": name, "pd": pd, "crossings": len(d.crossings),
                     "writhe": d.writhe, "basepoint": d.basepoint,
                     "hash": hashlib.sha256(pd.encode()).hexdigest()[:16]},
         "flavor": "reduced" if reduced else "unreduced",
-        "pages": pages,
+        "pages": {str(pt.r): table for pt in result.pages},
         "collapse_page": result.collapse_page,
         "total_homology": {str(q): dim
                            for q, dim in sorted(result.total_homology.items())},
@@ -108,8 +104,9 @@ def cache_store(record: dict, directory: Path, d: PlanarDiagram,
 def cache_load(directory: Path, d: PlanarDiagram, reduced: bool,
                name: str = "") -> dict | None:
     """The record of ``d`` named ``name``, rebuilt by ``run_record`` from
-    its entry's pages; None on a miss.  An entry that ``run_record``
-    would not write, its ``diagram`` aside, is a miss with a warning."""
+    its entry's page 2, page count and total homology; None on a miss.
+    An entry that ``run_record`` would not write, its ``diagram`` aside,
+    is a miss with a warning."""
     path = directory / f"{cache_key(d, reduced)}.json"
     if not path.exists():
         return None
@@ -119,12 +116,11 @@ def cache_load(directory: Path, d: PlanarDiagram, reduced: bool,
         body = json.dumps(stored, sort_keys=True)
         if hashlib.sha256(body.encode()).hexdigest() != wrapped["checksum"]:
             raise ValueError("checksum mismatch")
-        result = SpectralResult(tuple(
-            PageTable(int(r), {(int(p), int(q)): int(dim)
-                               for pq, dim in table.items()
-                               for p, q in [pq.split(",")]})
-            for r, table in stored["pages"].items()),
-            int(stored["collapse_page"]),
+        result = SpectralResult(
+            {(int(p), int(q)): int(dim)
+             for pq, dim in stored["pages"]["2"].items()
+             for p, q in [pq.split(",")]},
+            len(stored["pages"]),
             {int(q): int(dim) for q, dim in stored["total_homology"].items()})
         record = run_record(d, reduced, result, name,
                             float(stored["meta"]["seconds"]))
@@ -327,9 +323,8 @@ def cmd_probe(args) -> int:
     w = csv.writer(sys.stdout)
     w.writerow(["name", "flavor", "collapse_page", "alternating", "flag"])
     for (name, d), record in zip(corpus, records):
-        note = "NONCOLLAPSE" if record["collapse_page"] > 2 else ""
         w.writerow([name, record["flavor"], str(record["collapse_page"]),
-                    "yes" if is_alternating(d) else "no", note])
+                    "yes" if is_alternating(d) else "no", ""])
     return EXIT_OK
 
 

@@ -82,6 +82,13 @@ def _marked_arc(d: PlanarDiagram, arcs: int) -> int:
     return marked
 
 
+def _circles(roots: str | list, marked: int) -> tuple[int, tuple[int, ...]]:
+    """The circle count and each arc's circle, from each arc's root."""
+    first = dict.fromkeys([roots[0], roots[marked], *roots])
+    return len(first) - 1, itemgetter(*roots)(
+        dict(zip(first, range(-1, len(first)))))
+
+
 def resolve(d: PlanarDiagram, u: int) -> Resolution:
     """Compute the circle labels of the smoothing ``u`` (bit mask)."""
     if u >> len(d.crossings):
@@ -98,11 +105,8 @@ def resolve(d: PlanarDiagram, u: int) -> Resolution:
     for ci, cr in enumerate(d.crossings):
         for x, y in smoothing_pairings(cr, (u >> ci) & 1):
             parent[find(x)] = find(y)
-    roots = [find(a) for a in range(len(parent))]
-    # root -> circle index, the roots in order of first arc
-    first = dict.fromkeys([roots[0], roots[marked], *roots])
-    return Resolution(u, len(first) - 1, itemgetter(*roots)(
-        dict(zip(first, range(-1, len(first))))))
+    return Resolution(u, *_circles([find(a) for a in range(len(parent))],
+                                   marked))
 
 
 def walk(d: PlanarDiagram, max_generators: float = float("inf")
@@ -125,8 +129,8 @@ def walk(d: PlanarDiagram, max_generators: float = float("inf")
     pairings = [(smoothing_pairings(cr, 1), smoothing_pairings(cr, 0))
                 for cr in d.crossings]
     labels, circles, total = [], [], 0  # total: generators walked
-    # roots -> (labels, circle count, generators), one per partition
-    numbered: dict[str, tuple[tuple[int, ...], int, int]] = {}
+    # roots -> (circle count, labels), one per partition
+    numbered: dict[str, tuple[int, tuple[int, ...]]] = {}
     # (next crossing, the root of every arc, one character each): the
     # 1-smoothing is pushed first, so u increases with crossing 0 deepest
     stack = [(n - 1, "".join(map(chr, range(arcs))))]
@@ -143,14 +147,11 @@ def walk(d: PlanarDiagram, max_generators: float = float("inf")
                 stack.append((i - 1, joined))
             continue
         seen = numbered.get(roots)
-        if seen is None:  # number the circles as ``resolve`` does
-            first = dict.fromkeys([roots[0], roots[marked], *roots])
-            seen = numbered[roots] = (
-                itemgetter(*roots)(dict(zip(first, range(-1, len(first))))),
-                len(first) - 1, 1 << (len(first) - 2))
-        labels.append(seen[0])
-        circles.append(seen[1])
-        total += seen[2]
+        if seen is None:  # a new partition: number its circles
+            seen = numbered[roots] = _circles(roots, marked)
+        circles.append(seen[0])
+        labels.append(seen[1])
+        total += 1 << seen[0] - 1
         if total > max_generators:
             raise SizeCapError(
                 f"complex needs more than {max_generators} generators")

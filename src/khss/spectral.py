@@ -9,15 +9,16 @@ The complex ``filtered.build`` gives raises h by exactly 1, so in the
 pairing of persistent homology (Edelsbrunner, Letscher and Zomorodian,
 "Topological persistence and simplification", 2002; Zomorodian and
 Carlsson, "Computing persistent homology", 2005) every pair has gap 1:
-each page from 2 on is the homology of d, and the sequence collapses at
-page 2.  Its dimension at (h, q) is the slice's size less the ranks of
-d out of the slice and into it.  The rank out of a slice is the size of
-the basis of its image that ``FilteredComplex.reduction`` reduces, with
-clearing, and checks d^2 = 0 on: one walk per complex, whichever of
-``compute`` and the check reads it first.  ``khovanov_oracle`` ranks
-each slice by the same ``tqft.reduce_columns``, without clearing.  The
-general pairing, for a differential that may raise h by more, is the
-reference the tests check these pages against (``tests/block_view.py``).
+each page from 2 on is E_2, the homology of d, and the sequence
+collapses at page 2: ``SpectralResult`` derives every page from E_2.
+E_2 at (h, q) is the slice's size less the ranks of d out of it and
+into it.  The rank out of a slice is the size of the basis of its image
+that ``FilteredComplex.reduction`` reduces, with clearing, and checks
+d^2 = 0 on: one walk per complex, whichever of ``compute`` and the
+check reads it first.  ``khovanov_oracle`` ranks each slice by the same
+``tqft.reduce_columns``, without clearing.  The general pairing, for a
+differential that may raise h by more, and its pages are the reference
+the tests check these against (``tests/block_view.py``).
 
 Theorem: over GF(2) the paper's differential D, given by
 I + D = (1 + d_{n-1}) ... (1 + d_0) with d_i the edge maps in direction
@@ -33,7 +34,7 @@ every d_j; induct on the crossings.  ``filtered.build`` stores d;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tqft
 from .filtered import FilteredComplex
@@ -41,11 +42,10 @@ from .filtered import FilteredComplex
 
 @dataclass(frozen=True)
 class PageTable:
-    """Bigraded dimensions of one page, plus outgoing differential ranks."""
+    """Bigraded dimensions of one page."""
 
     r: int
     dims: dict[tuple[int, int], int]
-    dr_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -53,21 +53,25 @@ class PageTable:
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """All pages from 2 to stabilization, plus the abutment data."""
+    """E_2, the page count and the abutment: every page from 2 on is E_2."""
 
-    pages: tuple[PageTable, ...]   # r = 2, 3, ...
-    collapse_page: int
+    e2: dict[tuple[int, int], int]
+    page_count: int                 # the h-span of the complex, plus 1
     total_homology: dict[int, int]  # q -> dim H(C, d)
+    collapse_page = 2               # a class attribute, not a field
 
     def page(self, r: int) -> PageTable:
         if r < 2:
             raise ValueError("stored pages start at 2")
-        idx = min(r - 2, len(self.pages) - 1)
-        return self.pages[idx]
+        return PageTable(min(r, self.page_count + 1), self.e2)
+
+    @property
+    def pages(self) -> tuple[PageTable, ...]:
+        return tuple(map(self.page, range(2, self.page_count + 2)))
 
     @property
     def infinity(self) -> PageTable:
-        return self.pages[-1]
+        return self.page(self.page_count + 1)
 
 
 def _dims(c: FilteredComplex,
@@ -91,19 +95,15 @@ def khovanov_oracle(c: FilteredComplex) -> PageTable:
 
 
 def compute(c: FilteredComplex) -> SpectralResult:
-    """All pages from 2 to stabilization, collapse page, abutment.  The
-    differential must square to zero (``cli._pages`` checks it).  The
-    ranks of d are ``c.reduction``'s, which the check reads too."""
+    """E_2, the page count and the abutment.  The differential must
+    square to zero (``cli._pages`` checks it).  The ranks of d are
+    ``c.reduction``'s, which the check reads too."""
     dims = _dims(c, c.reduction[1])
     total: dict[int, int] = {}
     for (_, q), dim in dims.items():
         total[q] = total.get(q, 0) + dim
-    heights = [h for h, _ in c.slices]
-    length = max(heights) - min(heights) if heights else 0
-    # d has jump 1 alone, so every page from 2 on is page 2
-    pages = tuple(PageTable(r, dict(dims))
-                  for r in range(2, length + 3))
-    return SpectralResult(pages, 2, total)
+    span = max(c.slices)[0] - min(c.slices)[0] if c.slices else 0
+    return SpectralResult(dims, span + 1, total)
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,12 @@ class Verdict:
 
 
 def compare_pages(a: SpectralResult, b: SpectralResult) -> Verdict:
-    """Equality of every page's dimension table (pages persist past
-    their stabilization, so shorter lists are padded with the last)."""
-    top = max(a.pages[-1].r, b.pages[-1].r)
-    for r in range(2, top + 1):
-        da, db = a.page(r).dims, b.page(r).dims
-        if da != db:
-            diff = sorted(set(da) ^ set(db)
-                          | {k for k in set(da) & set(db) if da[k] != db[k]})
-            p, q = diff[0]
-            return Verdict(False,
-                           f"first difference at page {r}, (p={p}, q={q}): "
-                           f"{da.get((p, q), 0)} vs {db.get((p, q), 0)}")
-    return Verdict(True)
+    """Equality of every page's dimension table: of E_2, as every page
+    from 2 on is E_2."""
+    da, db = a.e2, b.e2
+    if da == db:
+        return Verdict(True)
+    p, q = min(set(da) ^ set(db)
+               | {k for k in set(da) & set(db) if da[k] != db[k]})
+    return Verdict(False, f"first difference at page 2, (p={p}, q={q}): "
+                          f"{da.get((p, q), 0)} vs {db.get((p, q), 0)}")

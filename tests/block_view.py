@@ -28,16 +28,47 @@ max(2, largest gap + 1).  Every generator is the source of one pair,
 the target of one, or unpaired, so the unpaired ones at h number the
 generators at h less the pairs leaving and entering h.  The reduction
 here makes no clearing and shares no code with ``khss.spectral``.
+``compute`` gives the pages as a ``PageSequence``: a ``PageTable`` per
+page, with the d_r rank out of each (h, q), where ``khss.spectral``
+holds E_2 alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from khss.filtered import FilteredComplex, KhGenerator
-from khss.spectral import PageTable, SpectralResult
+
+
+@dataclass(frozen=True)
+class PageTable:
+    """Bigraded dimensions of one page, plus outgoing differential ranks."""
+
+    r: int
+    dims: dict[tuple[int, int], int]
+    dr_ranks: dict[tuple[int, int], int] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class PageSequence:
+    """All pages from 2 to stabilization, plus the abutment data: the
+    general form of ``khss.spectral.SpectralResult``, whose pages from 2
+    on are all E_2."""
+
+    pages: tuple[PageTable, ...]   # r = 2, 3, ...
+    collapse_page: int
+    total_homology: dict[int, int]  # q -> dim of the abutment
+
+    def page(self, r: int) -> PageTable:
+        if r < 2:
+            raise ValueError("stored pages start at 2")
+        return self.pages[min(r - 2, len(self.pages) - 1)]
+
+    @property
+    def infinity(self) -> PageTable:
+        return self.pages[-1]
 
 
 class QBlock(NamedTuple):
@@ -149,7 +180,7 @@ def page(c: BlockComplex, r: int) -> PageTable:
     return _page({b.q: barcode(b.h, b.cols) for b in c.blocks}, r)
 
 
-def compute(c: BlockComplex) -> SpectralResult:
+def compute(c: BlockComplex) -> PageSequence:
     """All pages from 2 to stabilization, collapse page, abutment."""
     barcodes = {b.q: barcode(b.h, b.cols) for b in c.blocks}
     heights = [h for b in c.blocks for h in b.h]
@@ -159,4 +190,4 @@ def compute(c: BlockComplex) -> SpectralResult:
     max_gap = max((b.max_gap for b in barcodes.values()), default=0)
     homology = {q: dim for q, bars in barcodes.items()
                 if (dim := sum(bars.unpaired.values()))}
-    return SpectralResult(pages, max(2, max_gap + 1), homology)
+    return PageSequence(pages, max(2, max_gap + 1), homology)

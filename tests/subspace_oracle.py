@@ -14,9 +14,8 @@ about 20 s.
 
 from __future__ import annotations
 
-from block_view import block_view
+from block_view import PageSequence, PageTable, block_view
 from gf2 import BitSpan
-from khss.spectral import PageTable, SpectralResult
 
 
 class SubspaceBlock:
@@ -129,7 +128,7 @@ def q_blocks(c) -> dict[int, SubspaceBlock]:
     return {b.q: SubspaceBlock(b.h, b.cols) for b in block_view(c).blocks}
 
 
-def compute(c) -> SpectralResult:
+def compute(c) -> PageSequence:
     """Pages 2..max(2, length + 2), the first page equal to the last as
     the collapse page, and the total homology per q."""
     blocks = q_blocks(c)
@@ -147,4 +146,4 @@ def compute(c) -> SpectralResult:
     collapse = next(pt.r for pt in pages if pt.dims == pages[-1].dims)
     homology = {q: dim for q, block in blocks.items()
                 if (dim := block.homology_dim())}
-    return SpectralResult(tuple(pages), collapse, homology)
+    return PageSequence(tuple(pages), collapse, homology)

@@ -749,6 +749,34 @@ def test_a_checksummed_entry_that_is_not_a_run_record_is_a_miss(
     assert err.count("warning: ignoring corrupt cache entry") == 1
 
 
+def test_a_cache_entry_that_claims_a_later_page_is_a_miss(
+        tmp_path, capsys, mixed_corpus):
+    # every page from 2 on is page 2: an entry whose page 3 differs and
+    # that collapses at page 3 is warned about and recomputed, by
+    # compute and by probe, which flags no row
+    cache = tmp_path / "cache"
+    argv = ("compute", "--pd", TREFOIL, "--cache", str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    entry = next(cache.glob("*.json"))
+    later = json.loads(entry.read_text())["record"]
+    del later["pages"]["3"][next(iter(later["pages"]["2"]))]
+    later["collapse_page"] = 3
+    write_entry(entry, later)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert without_meta(json.loads(out)) == without_meta(json.loads(fresh))
+    assert err.count("warning: ignoring corrupt cache entry") == 1
+    argv = ("probe", str(mixed_corpus), "--cache", str(cache))
+    _, fresh, _ = run(capsys, *argv)
+    write_entry(entry, later)  # the trefoil's entry
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == fresh
+    assert err.count("warning: ignoring corrupt cache entry") == 1
+    rows = out.splitlines()
+    assert rows[0].endswith(",flag")
+    assert all(row.endswith(",") for row in rows[1:])
+
+
 def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path, capsys):
     cache = tmp_path / "cache"
     _, fresh, _ = run(capsys, "compute", "--pd", TREFOIL, "--cache",

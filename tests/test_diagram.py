@@ -327,8 +327,8 @@ def test_is_alternating():
     assert is_alternating(parse_pd(FIGURE_EIGHT))
     # the corpus generator's flag for each knot, false for 8_19
     corpus = dict(load_corpus(corpus_path()))
-    flags = {name: alternating for name, word, _, _, alternating
-             in corpus_tool().ENTRIES if word is not None}
+    flags = {name: alternating
+             for name, _, _, _, alternating in corpus_tool().ENTRIES}
     assert not flags["8_19"]
     for name, alternating in flags.items():
         assert is_alternating(corpus[name]) == alternating, name

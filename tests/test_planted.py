@@ -84,6 +84,16 @@ def squares_to_zero(cols: list[int]) -> bool:
     return all(apply(cols, col) == 0 for col in cols)
 
 
+def planted_complex(planted: list[Planted]) -> BlockComplex:
+    """Planted q-blocks (q = 0, 2, 4, ...) as one complex."""
+    blocks = []
+    for n, block in enumerate(planted):
+        gens = [KhGenerator(i, 0, h, 2 * n) for i, h in enumerate(block.h)]
+        cols = conjugate(block.planted_columns(), block.basis)
+        blocks.append(QBlock(2 * n, gens, cols))
+    return BlockComplex(blocks)
+
+
 def expected_page(block: Planted, r: int) -> tuple[Counter, Counter]:
     dims, ranks = Counter(block.unpaired), Counter()
     for (a, g), n in block.pairs.items():
@@ -139,12 +149,7 @@ def test_one_flipped_entry_is_caught(block, data):
 def test_planted_complex_through_compute(planted):
     """Several planted q-blocks (q = 0, 2, 4, ...) as one complex, through
     the reference ``compute`` and ``page`` of ``block_view``."""
-    blocks = []
-    for n, block in enumerate(planted):
-        gens = [KhGenerator(i, 0, h, 2 * n) for i, h in enumerate(block.h)]
-        cols = conjugate(block.planted_columns(), block.basis)
-        blocks.append(QBlock(2 * n, gens, cols))
-    c = BlockComplex(blocks)
+    c = planted_complex(planted)
     res = compute(c)
     heights = [h for block in planted for h in block.h]
     assert [pt.r for pt in res.pages] == list(

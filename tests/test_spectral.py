@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import block_view
 import naive
@@ -15,6 +17,7 @@ from khss.spectral import compare_pages, compute, khovanov_oracle
 from moves import reidemeister1, reidemeister2
 from test_complex import (flip_a_cleared_column, widen_a_column,
                           with_column_flipped)
+from test_planted import planted_blocks, planted_complex
 
 
 def test_oracle_against_naive_prototype():
@@ -108,10 +111,16 @@ def test_abutment():
         assert by_q == res.total_homology
 
 
-def test_dr_ranks_account_for_page_drop():
-    c = build(parse_pd(FIGURE_EIGHT), reduced=False)
-    res = compute(c)
-    for cur, nxt in zip(res.pages, res.pages[1:]):
+@settings(max_examples=100, deadline=None)
+@given(st.lists(planted_blocks(), min_size=1, max_size=3))
+def test_dr_ranks_account_for_page_drop(planted):
+    # each block has a pair of gap 2 to 4, so some d_r with r >= 2 is
+    # nonzero: page r + 1 is page r less twice the rank of d_r
+    c = planted_complex(planted)
+    res = block_view.compute(c)
+    pages = [block_view.page(c, 1), *res.pages]
+    assert any(pt.dr_ranks for pt in pages[1:])
+    for cur, nxt in zip(pages, pages[1:]):
         drop = sum(cur.dims.values()) - sum(nxt.dims.values())
         assert drop == 2 * sum(cur.dr_ranks.values())
 
@@ -122,17 +131,22 @@ def test_subspace_oracle_agrees_with_compute(store):
     # independent complex, for every page
     for name in store.names(8):
         for reduced in (True, False):
-            res = store.result(name, reduced)
             ref = subspace_oracle.compute(store.composite(name, reduced))
-            assert ([(pt.r, pt.dims, pt.dr_ranks) for pt in res.pages]
-                    == [(pt.r, pt.dims, pt.dr_ranks) for pt in ref.pages])
-            assert res.collapse_page == ref.collapse_page
-            assert res.total_homology == ref.total_homology
+            assert full_result(store.result(name, reduced)) == collapsed(ref)
 
 
 def full_result(res):
-    return ([(pt.r, pt.dims, pt.dr_ranks) for pt in res.pages],
-            res.collapse_page, res.total_homology)
+    """The (r, dims) of every page, the collapse page and the abutment."""
+    return ([(pt.r, pt.dims) for pt in res.pages], res.collapse_page,
+            res.total_homology)
+
+
+def collapsed(ref):
+    """``full_result`` of a reference's pages, which must have no
+    nonzero d_r for r >= 2 and collapse at page 2."""
+    assert all(pt.dr_ranks == {} for pt in ref.pages)
+    assert ref.collapse_page == 2
+    return full_result(ref)
 
 
 def test_slices_give_the_pages_of_their_block_view(store):
@@ -142,7 +156,7 @@ def test_slices_give_the_pages_of_their_block_view(store):
                  for reduced in (True, False)]
     complexes += [build(parse_pd(pd)) for pd in probe_closures()]
     for c in complexes:
-        assert (full_result(compute(c)) == full_result(
+        assert (full_result(compute(c)) == collapsed(
             block_view.compute(block_view.block_view(c))))
 
 
